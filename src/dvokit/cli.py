@@ -24,17 +24,7 @@ from . import bundled, fileio, synth
 from .config import RunConfig, load_config
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from .dvo import solve_coarse_to_fine
-from .errors import (
-    ConfigError,
-    DegenerateDepth,
-    DegenerateOverlap,
-    DivergenceDetected,
-    DvokitError,
-    FileFormatError,
-    LengthMismatch,
-    NoValidPixels,
-    SingularSystem,
-)
+from .errors import ConfigError, DvokitError, FileFormatError
 from .geometry import Pose6D
 from .imaging import InverseDepthMap
 from .losses import Triplet, normalize_inverse_depth_vjp, triplet_loss
@@ -45,27 +35,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DEGENERATE = 2
 EXIT_GRADCHECK = 3
-
-
-def _apply_thread_cap():
-    """Honor DDVO_THREADS (0 or unset = automatic)."""
-    raw = os.environ.get("DDVO_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"DDVO_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ConfigError("DDVO_THREADS cannot be negative")
-    if cap == 0:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(cap)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=cap)
-    except ImportError:
-        pass  # env vars still cap any later-loaded pools
 
 
 def _intrinsics_for(cfg: RunConfig, width, height):
@@ -290,8 +259,11 @@ def cmd_train_demo(args) -> int:
             gt_poses=data["poses"],
             gt_inv_depth=data["gt_inv_depths"][1],
         )
-    except DivergenceDetected as exc:
-        trace = exc.trace
+    except DvokitError as exc:
+        # A failed run still hands back its partial trace; write it out.
+        trace = getattr(exc, "trace", None)
+        if trace is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         exit_code = EXIT_DEGENERATE
     tmp = str(args.out) + ".tmp"
@@ -302,11 +274,12 @@ def cmd_train_demo(args) -> int:
         root, _ = os.path.splitext(str(args.out))
         depth_out = root + "_depth.pfm"
     fileio.write_pfm(depth_out, trace.final_inv_depths[1])
-    final = trace.records[-1]
-    print(
-        f"steps {len(trace.records)} total {final.total:.17g} "
-        f"mean_inv_depth {final.mean_inv_depth:.17g} gt_error {final.gt_error:.17g}"
-    )
+    if trace.records:
+        final = trace.records[-1]
+        print(
+            f"steps {len(trace.records)} total {final.total:.17g} "
+            f"mean_inv_depth {final.mean_inv_depth:.17g} gt_error {final.gt_error:.17g}"
+        )
     return exit_code
 
 
@@ -421,21 +394,10 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.handler(args)
     except (FileFormatError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        DegenerateOverlap,
-        SingularSystem,
-        NoValidPixels,
-        DegenerateDepth,
-        LengthMismatch,
-        DivergenceDetected,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except DvokitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -34,27 +34,22 @@ from .dvo import (
     _well_conditioned,
     build_jacobian,
     default_damping,
+    translation_coefficients,
 )
 from .geometry import (
-    EPSILON_Z,
     CameraIntrinsics,
     Pose6D,
     skew,
     so3_exp,
+    so3_exp_vjp,
     so3_log,
-    so3_right_jacobian,
     so3_right_jacobian_inv,
 )
-from .imaging import (
-    ImageBuffer,
-    InverseDepthMap,
-    bilinear_grad_many,
-    bilinear_many,
-    gradient_arr,
-    pyramid_arr,
-    upsample2_grad_arr,
-)
-from .synth import pixel_grid
+from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, upsample2_grad_arr
+# perfbench traces these under this module's name; the solver reaches the
+# sampler and the image gradient through the warp and dvo modules.
+from .imaging import bilinear_grad_many, bilinear_many, gradient_arr  # noqa: F401
+from .warp import points, warp_and_sample, warp_vjp
 
 # Dense-Jacobian test helper refuses instances larger than this.
 MAX_DENSE_PIXELS = 4096
@@ -95,16 +90,17 @@ class _IterRecord:
 
 @dataclass(frozen=True)
 class _LevelRecord:
-    """Per-level constants and the iteration trail at that level."""
+    """Per-level constants and the iteration trail at that level.
+
+    ``X`` holds the level's ``(4, N)`` warp points ``[u, v, 1, d]``.
+    """
 
     ref_gray: np.ndarray
     src_gray: np.ndarray
-    depth: np.ndarray
+    X: np.ndarray
     k: CameraIntrinsics
     J: np.ndarray
     lam: float
-    u: np.ndarray
-    v: np.ndarray
     iters: tuple
 
 
@@ -133,23 +129,6 @@ class PoseDepthJacobian:
             raise ValueError("PoseDepthJacobian requires finite entries")
 
 
-def _warp_terms(level: _LevelRecord, R, t):
-    """Deterministic replay of one iteration's warp at pose (R, t).
-
-    Returns the source samples, validity weights, camera-frame points,
-    safe depths, and pixel lookup coordinates.
-    """
-    dirs = np.stack([level.u, level.v, np.ones_like(level.u)], axis=-1)
-    P = dirs @ R.T + level.depth[..., None] * t
-    front = P[..., 2] > EPSILON_Z
-    z = np.where(front, P[..., 2], 1.0)
-    px = (P[..., 0] / z) * level.k.fx + level.k.cx
-    py = (P[..., 1] / z) * level.k.fy + level.k.cy
-    sampled, in_view = bilinear_many(level.src_gray, px, py)
-    mask = front & in_view
-    return sampled, mask, P, z, px, py, dirs
-
-
 def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                  src_img: ImageBuffer, k: CameraIntrinsics,
                  settings: DdvoSettings):
@@ -171,31 +150,32 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         src_gray = src_pyr[lv]
         depth = depth_pyr[lv]
         k_lv = k.at_level(lv)
-        J, u, v = build_jacobian(ref_gray, depth, k_lv)
+        X = points(k_lv, depth)
+        J = build_jacobian(ref_gray, X, k_lv)
         lam = settings.damping if settings.damping is not None else default_damping(J)
-        if not _well_conditioned(J.T @ J + lam * np.eye(6)):
+        damp = lam * np.eye(6)
+        if not _well_conditioned(J.T @ J + damp):
             raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-        level = _LevelRecord(ref_gray, src_gray, depth, k_lv, J, lam, u, v, ())
         ref_flat = ref_gray.ravel()
         iters = []
         for _ in range(settings.unroll_iters):
-            sampled, mask, _, _, _, _, _ = _warp_terms(level, R, t)
-            wvec = mask.ravel().astype(float)
+            sampled, mask = warp_and_sample(src_gray, X, R, t, k_lv)
+            wvec = mask.astype(float)
             if wvec.mean() < MIN_VALID_FRACTION:
                 raise DegenerateOverlap(
                     f"only {wvec.mean():.1%} of pixels remained in view"
                 )
             Jw = J * wvec[:, None]
-            H = J.T @ Jw + lam * np.eye(6)
+            H = J.T @ Jw + damp
             if not _well_conditioned(H):
                 raise SingularSystem("weighted normal equations became singular")
-            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled.ravel())
+            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
             iters.append(_IterRecord(R, t, delta))
             Rd = so3_exp(delta[3:])
             t = Rd @ t + delta[:3]
             R = Rd @ R
         level_records.append(
-            _LevelRecord(ref_gray, src_gray, depth, k_lv, J, lam, u, v, tuple(iters))
+            _LevelRecord(ref_gray, src_gray, X, k_lv, J, lam, tuple(iters))
         )
 
     tape = DdvoTape(
@@ -206,13 +186,6 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         finest_shape=(ref_depth.height, ref_depth.width),
     )
     return Pose6D(t, so3_log(R)), tape
-
-
-def _vee_antisym(M):
-    """Axis vector of the antisymmetric part: vee((M - M^T) / 2)."""
-    return 0.5 * np.array(
-        [M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]
-    )
 
 
 def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
@@ -245,81 +218,50 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
 
     # Levels were executed coarsest -> finest and stored in that order.
     for level_index, level in reversed(list(enumerate(tape.levels))):
-        J = level.J
+        J, X = level.J, level.X
         ref_flat = level.ref_gray.ravel()
-        g_J = np.zeros_like(J) if through_j else None
+        g_d_level = np.zeros(X.shape[1])
+        damp = level.lam * np.eye(6)
         g_lam = 0.0
-        g_d_level = np.zeros_like(level.depth)
+        if through_j:
+            # Only the translational columns of J carry depth, as d * A.T.
+            A = translation_coefficients(level.ref_gray, X, level.k)
 
         for it in reversed(level.iters):
             R, t, delta = it.R, it.t, it.delta
-            sampled, mask, P, z, px, py, dirs = _warp_terms(level, R, t)
-            wvec = mask.ravel().astype(float)
+            sampled, mask, lin = warp_and_sample(level.src_gray, X, R, t, level.k,
+                                                 grad=True)
+            wvec = mask.astype(float)
             Jw = J * wvec[:, None]
-            H = J.T @ Jw + level.lam * np.eye(6)
-            r = ref_flat - sampled.ravel()
+            H = J.T @ Jw + damp
 
             # Pose update: t' = Rd t + dt, R' = Rd R.
             Rd = so3_exp(delta[3:])
             g_Rd = g_R @ R.T + np.outer(g_t, t)
             g_R_prev = Rd.T @ g_R
             g_t_prev = Rd.T @ g_t
-            g_delta = np.empty(6)
-            g_delta[:3] = g_t
-            g_delta[3:] = so3_right_jacobian(delta[3:]).T @ (
-                2.0 * _vee_antisym(Rd.T @ g_Rd)
-            )
+            g_delta = np.concatenate([g_t, so3_exp_vjp(delta[3:], Rd, g_Rd)])
 
             # delta = H^-1 b with b = Jw^T r; reverse through the solve.
             q = np.linalg.solve(H, g_delta)
-            Jq = J @ q
-            g_r = wvec * Jq
+            Jq, Jd = (J @ np.column_stack((q, delta))).T
             if through_j:
-                Jd = J @ delta
-                g_J += wvec[:, None] * (
-                    r[:, None] * q[None, :]
-                    - Jd[:, None] * q[None, :]
-                    - Jq[:, None] * delta[None, :]
-                )
-                g_lam += -float(q @ delta)
+                # g_J = W (r q^T - (J delta) q^T - (J q) delta^T), taken
+                # only on the three depth-carrying columns.
+                Aq, Ad = np.stack((q[:3], delta[:3])) @ A
+                r = ref_flat - sampled
+                g_d_level += wvec * ((r - Jd) * Aq - Jq * Ad)
+                g_lam -= float(q @ delta)
 
-            # r = ref - bilinear(src, px, py); mask weight already in g_r.
-            g_sampled = -g_r.reshape(level.depth.shape)
-            gx, gy = bilinear_grad_many(level.src_gray, px, py)
-            g_px = g_sampled * gx
-            g_py = g_sampled * gy
+            # r = ref - warped source, so the samples see -W J q.
+            g_d, g_t_warp, g_R_warp = warp_vjp(X, t, lin, -Jq)
+            g_d_level += g_d
+            g_R, g_t = g_R_prev + g_R_warp, g_t_prev + g_t_warp
 
-            # Projection px = fx * Px/Pz + cx (and likewise py).
-            g_u = g_px * level.k.fx
-            g_v = g_py * level.k.fy
-            up = P[..., 0] / z
-            vp = P[..., 1] / z
-            g_P = np.stack(
-                [g_u / z, g_v / z, -(up * g_u + vp * g_v) / z], axis=-1
-            )
-
-            # P = dirs @ R^T + d * t.
-            g_d_level += np.einsum("hwc,c->hw", g_P, t)
-            g_t_prev += np.einsum("hw,hwc->c", level.depth, g_P)
-            g_R_prev += np.einsum("hwc,hwd->cd", g_P, dirs)
-
-            g_R, g_t = g_R_prev, g_t_prev
-
-        if through_j:
-            if default_lam:
-                g_J += g_lam * (_DAMPING_COEFF / 3.0) * J
-            # Only the translational columns of J carry depth; their
-            # coefficients are the normalized-coordinate gradient terms.
-            gxa, gya = gradient_arr(level.ref_gray)
-            gu = (gxa * level.k.fx).ravel()
-            gv = (gya * level.k.fy).ravel()
-            uu = level.u.ravel()
-            vv = level.v.ravel()
-            g_d_level += (
-                g_J[:, 0] * gu
-                + g_J[:, 1] * gv
-                - g_J[:, 2] * (gu * uu + gv * vv)
-            ).reshape(level.depth.shape)
+        if through_j and default_lam:
+            # lambda = c * sum(J*J) / 6, and J[:, :3] = d * A.T.
+            g_d_level += g_lam * (_DAMPING_COEFF / 3.0) * X[3] * np.sum(A * A, axis=0)
+        g_d_level = g_d_level.reshape(level.ref_gray.shape)
 
         # Lift the level gradient back to the finest grid through the
         # area-average pyramid (adjoint of repeated 2x2 pooling).  The
@@ -351,18 +293,16 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     R = so3_exp(settings.init_pose.omega)
     t = settings.init_pose.t.copy()
     for i, level in enumerate(tape.levels):
-        depth = depth_pyr[settings.levels - 1 - i]
-        frozen = _LevelRecord(
-            level.ref_gray, level.src_gray, depth, level.k,
-            level.J, level.lam, level.u, level.v, (),
-        )
+        X = level.X.copy()
+        X[3] = depth_pyr[settings.levels - 1 - i].ravel()
         ref_flat = level.ref_gray.ravel()
+        damp = level.lam * np.eye(6)
         for _ in range(settings.unroll_iters):
-            sampled, mask, _, _, _, _, _ = _warp_terms(frozen, R, t)
-            wvec = mask.ravel().astype(float)
+            sampled, mask = warp_and_sample(level.src_gray, X, R, t, level.k)
+            wvec = mask.astype(float)
             Jw = level.J * wvec[:, None]
-            H = level.J.T @ Jw + level.lam * np.eye(6)
-            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled.ravel())
+            H = level.J.T @ Jw + damp
+            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
             Rd = so3_exp(delta[3:])
             t = Rd @ t + delta[:3]
             R = Rd @ R

@@ -11,14 +11,17 @@ fixed pseudo-inverse, cheap because the Jacobian itself stays fixed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateOverlap, SingularSystem
-from .geometry import EPSILON_Z, CameraIntrinsics, Pose6D, compose, so3_exp
-from .imaging import ImageBuffer, InverseDepthMap, bilinear_many, gradient_arr, pyramid_arr
-from .synth import pixel_grid
+from .geometry import CameraIntrinsics, Pose6D, compose, so3_exp
+from .imaging import ImageBuffer, InverseDepthMap, gradient_arr, pyramid_arr
+# perfbench traces the sampler under this module's name; the solver
+# reaches it through the warp module.
+from .imaging import bilinear_many  # noqa: F401
+from .warp import points, warp_and_sample
 
 # Below this in-view fraction the level is considered degenerate.
 MIN_VALID_FRACTION = 0.25
@@ -67,30 +70,35 @@ def _well_conditioned(H):
     return np.isfinite(cond) and cond <= MAX_CONDITION
 
 
-def build_jacobian(ref_gray, depth, k: CameraIntrinsics):
-    """(N, 6) photometric Jacobian at the identity pose.
+def translation_coefficients(ref_gray, X, k: CameraIntrinsics):
+    """``(3, N)`` rows ``A`` with ``J[:, :3] = d * A.T``.
 
-    Row i is the image gradient at pixel i (in normalized coordinates)
-    times the warp Jacobian for that pixel's inverse depth.  Also returns
-    the normalized pixel grid for reuse.
+    The translational columns of the photometric Jacobian are the only
+    ones that carry the inverse depth ``d``, and they are linear in it.
     """
-    h, w = ref_gray.shape
-    u, v = pixel_grid(w, h, k)
     gx, gy = gradient_arr(ref_gray)
     # Pixel-space gradient to normalized coordinates.
     gu = (gx * k.fx).ravel()
     gv = (gy * k.fy).ravel()
-    uu = u.ravel()
-    vv = v.ravel()
-    d = depth.ravel()
+    return np.stack((gu, gv, -(gu * X[0] + gv * X[1])))
+
+
+def build_jacobian(ref_gray, X, k: CameraIntrinsics):
+    """(N, 6) photometric Jacobian at the identity pose.
+
+    Row i is the image gradient at pixel i (in normalized coordinates)
+    times the warp Jacobian for the warp point ``X[:, i]`` (see
+    ``warp.points``).
+    """
+    A = translation_coefficients(ref_gray, X, k)
+    gu, gv = A[0], A[1]
+    uu, vv = X[0], X[1]
     J = np.empty((uu.size, 6))
-    J[:, 0] = gu * d
-    J[:, 1] = gv * d
-    J[:, 2] = -d * (gu * uu + gv * vv)
+    J[:, :3] = (A * X[3]).T
     J[:, 3] = -gu * uu * vv - gv * (1.0 + vv * vv)
     J[:, 4] = gu * (1.0 + uu * uu) + gv * uu * vv
     J[:, 5] = -gu * vv + gv * uu
-    return J, u, v
+    return J
 
 
 def default_damping(J):
@@ -106,7 +114,7 @@ def precompute_reference_system(ref_img: ImageBuffer, ref_depth: InverseDepthMap
     """
     if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
         raise ValueError("reference image and depth grids differ")
-    J, _, _ = build_jacobian(ref_img.gray(), ref_depth.values, k)
+    J = build_jacobian(ref_img.gray(), points(k, ref_depth.values), k)
     H = J.T @ J + damping * np.eye(6)
     if not _well_conditioned(H):
         raise SingularSystem("reference image lacks texture for a 6-DoF solve")
@@ -114,34 +122,17 @@ def precompute_reference_system(ref_img: ImageBuffer, ref_depth: InverseDepthMap
     return J, J_pinv
 
 
-def warp_and_sample(src_gray, u, v, depth, R, t, k: CameraIntrinsics):
-    """Warp every reference pixel by (R, t) and sample the source image.
-
-    Returns ``(sampled, mask, P)`` where ``P`` is the (H, W, 3) array of
-    warped camera-frame points and ``mask`` marks pixels in front of the
-    camera and inside the source raster.
-    """
-    ones = np.ones_like(u)
-    dirs = np.stack([u, v, ones], axis=-1)
-    P = dirs @ R.T + depth[..., None] * t
-    front = P[..., 2] > EPSILON_Z
-    z = np.where(front, P[..., 2], 1.0)
-    px = (P[..., 0] / z) * k.fx + k.cx
-    py = (P[..., 1] / z) * k.fy + k.cy
-    sampled, in_view = bilinear_many(src_gray, px, py)
-    return sampled, front & in_view, P
-
-
 def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
                        settings: DvoSettings):
     """Single-level Gauss-Newton solve on bare arrays."""
-    J, u, v = build_jacobian(ref_gray, depth, k)
+    X = points(k, depth)
+    J = build_jacobian(ref_gray, X, k)
     lam = settings.damping if settings.damping is not None else default_damping(J)
-    if not _well_conditioned(J.T @ J + lam * np.eye(6)):
+    damp = lam * np.eye(6)
+    if not _well_conditioned(J.T @ J + damp):
         raise SingularSystem("reference image lacks texture for a 6-DoF solve")
 
     pose = init
-    n = ref_gray.size
     ref_flat = ref_gray.ravel()
     residuals = []
     valid_fraction = 0.0
@@ -149,21 +140,21 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
     iters = 0
     for _ in range(settings.max_iters_per_level):
         R = so3_exp(pose.omega)
-        sampled, mask, _ = warp_and_sample(src_gray, u, v, depth, R, pose.t, k)
-        wvec = mask.ravel().astype(float)
+        sampled, mask = warp_and_sample(src_gray, X, R, pose.t, k)
+        wvec = mask.astype(float)
         valid_fraction = float(wvec.mean())
         if valid_fraction < MIN_VALID_FRACTION:
             raise DegenerateOverlap(
                 f"only {valid_fraction:.1%} of pixels remained in view"
             )
-        r = (ref_flat - sampled.ravel()) * wvec
+        r = (ref_flat - sampled) * wvec
         mean_sq = float(np.sum(r * r) / np.sum(wvec))
         residuals.append(mean_sq)
         Jw = J * wvec[:, None]
-        H = J.T @ Jw + lam * np.eye(6)
+        H = J.T @ Jw + damp
         if not _well_conditioned(H):
             raise SingularSystem("weighted normal equations became singular")
-        delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled.ravel())
+        delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
         iters += 1
         pose = compose(Pose6D.from_vector(delta), pose)
         if np.linalg.norm(delta) < settings.step_norm_tol:
@@ -171,10 +162,10 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
 
     # Residual and validity at the returned pose.
     R = so3_exp(pose.omega)
-    sampled, mask, _ = warp_and_sample(src_gray, u, v, depth, R, pose.t, k)
-    wvec = mask.ravel().astype(float)
+    sampled, mask = warp_and_sample(src_gray, X, R, pose.t, k)
+    wvec = mask.astype(float)
     if wvec.sum() > 0:
-        r = (ref_flat - sampled.ravel()) * wvec
+        r = (ref_flat - sampled) * wvec
         mean_sq = float(np.sum(r * r) / np.sum(wvec))
         valid_fraction = float(wvec.mean())
     residuals.append(mean_sq)

@@ -10,11 +10,9 @@ Conventions used throughout the package:
   pre-multiplied by the inverse intrinsics), so the warp of a reference
   point ``x`` with inverse depth ``d`` is ``<R @ [x, 1] + d * t>`` where
   ``< . >`` divides by the third component.
-* The pose update inside the Gauss-Newton solvers is applied as
-  ``T(delta)^-1 @ T(p)`` (inverse-compositional convention: the update is
-  solved on the reference image, so its inverse is composed onto the
-  current warp).  The synthetic pose-recovery suite certifies that this
-  convention converges.
+* The Gauss-Newton solvers solve the update ``delta`` on the reference
+  image and apply it as ``T(delta) @ T(p)``, with no inversion; ``compose``
+  derives this from the residual sign (reference minus warped source).
 
 All arithmetic is double precision; the normal equations downstream are
 too ill-conditioned for float32.
@@ -99,6 +97,17 @@ def so3_right_jacobian_inv(omega):
         return np.eye(3) + 0.5 * K + (K @ K) / 12.0
     c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
     return np.eye(3) + 0.5 * K + c * (K @ K)
+
+
+def so3_exp_vjp(omega, R, g_R):
+    """Gradient on ``omega`` from an ambient gradient ``g_R`` on ``R = so3_exp(omega)``.
+
+    ``R(omega + e) = R exp([Jr e]x)``, so ``<g_R, dR> = <R^T g_R, [Jr e]x>
+    = (Jr e) . vee(M - M^T)`` with ``M = R^T g_R``.
+    """
+    M = R.T @ g_R
+    vee = np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+    return so3_right_jacobian(omega).T @ vee
 
 
 def _canonical_omega(omega):
@@ -260,7 +269,11 @@ def warp_jacobian_identity(x: NormalizedPoint, d: float):
 
 
 def compose_left(delta: Pose6D, p: Pose6D) -> Pose6D:
-    """Pose of ``T(delta)^-1 @ T(p)`` (inverse-compositional update)."""
+    """Pose of ``T(delta)^-1 @ T(p)``, which undoes ``compose(delta, .)``.
+
+    This is not the solvers' update: with the residual oriented as
+    reference minus warped source it moves by ``-delta``; see ``compose``.
+    """
     Rd = so3_exp(delta.omega)
     Rp = so3_exp(p.omega)
     R = Rd.T @ Rp
@@ -269,13 +282,18 @@ def compose_left(delta: Pose6D, p: Pose6D) -> Pose6D:
 
 
 def compose(delta: Pose6D, p: Pose6D) -> Pose6D:
-    """Pose of ``T(delta) @ T(p)`` (plain left multiplication).
+    """Pose of ``T(delta) @ T(p)``: the update all three solvers apply.
 
-    This is the update the Gauss-Newton solvers apply: with the residual
-    oriented as reference minus warped source, the correcting increment
-    composes onto the left *without* inversion.  (Empirically certified by
-    the synthetic pose-recovery suite; the inverted variant walks away
-    from the optimum.)
+    The residual is reference minus warped source, ``r(p) = I_ref(x) -
+    I_src(<T(p) X>)``, and the solvers' Jacobian ``J`` is that of the
+    reference warped by ``T(delta)``, at ``delta = 0`` (built once, as in
+    Baker & Matthews 2004).  Near alignment the source warped by
+    ``T(delta) T(p)`` varies with ``delta`` as the reference warped by
+    ``T(delta)`` does, up to the adjoint of ``T(p)``, so
+    ``r(T(delta) T(p)) ~ r(p) - J delta``.  The
+    Gauss-Newton step ``delta = (J^T W J + lambda I)^-1 J^T W r`` lowers
+    that as it stands, so it composes on the left without inversion;
+    ``T(delta)^-1 T(p)`` (``compose_left``) would step by ``-delta``.
     """
     Rd = so3_exp(delta.omega)
     Rp = so3_exp(p.omega)

@@ -114,49 +114,49 @@ class ImagePyramid:
 ValidityMask = np.ndarray
 
 
-def bilinear_many(plane, xs, ys):
+def bilinear_many(plane, xs, ys, grad=False):
     """Vectorized 4-neighbor bilinear sampling of a (H, W) plane.
 
     Returns ``(values, in_view)``; out-of-view samples are 0.  Coordinates
     exactly on the last row/column are in view (the cell is shifted by one).
+    With ``grad=True`` also returns the exact (piecewise) derivatives
+    ``(d/dx, d/dy)`` of the values, ``(values, in_view, gx, gy)``, from the
+    same four neighbors: one flat cell index and four gathers serve both.
     """
     h, w = plane.shape
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    in_view = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc), w - 2).astype(np.intp)
-    y0 = np.minimum(np.floor(yc), h - 2).astype(np.intp)
+    in_view = (xc == xs) & (yc == ys)
+    x0 = np.minimum(np.floor(xc), w - 2)
+    y0 = np.minimum(np.floor(yc), h - 2)
     fx = xc - x0
     fy = yc - y0
-    v00 = plane[y0, x0]
-    v01 = plane[y0, x0 + 1]
-    v10 = plane[y0 + 1, x0]
-    v11 = plane[y0 + 1, x0 + 1]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    vals = top * (1.0 - fy) + bot * fy
-    return np.where(in_view, vals, 0.0), in_view
+    cell = (y0 * w + x0).astype(np.intp)
+    flat = plane.ravel()
+    v00 = flat.take(cell)
+    v01 = flat[1:].take(cell)
+    v10 = flat[w:].take(cell)
+    v11 = flat[w + 1:].take(cell)
+    # Keep the a*(1-f) + b*f form: it returns the stored value bit for bit
+    # at lattice points, where a + (b-a)*f need not.
+    wx0 = 1.0 - fx
+    wy0 = 1.0 - fy
+    top = v00 * wx0 + v01 * fx
+    bot = v10 * wx0 + v11 * fx
+    vals = top * wy0 + bot * fy
+    vals *= in_view
+    if not grad:
+        return vals, in_view
+    gx = (v01 - v00) * wy0 + (v11 - v10) * fy
+    gy = (v10 - v00) * wx0 + (v11 - v01) * fx
+    return vals, in_view, gx, gy
 
 
 def bilinear_grad_many(plane, xs, ys):
     """Exact (piecewise) derivative of ``bilinear_many`` values w.r.t. (x, y)."""
-    h, w = plane.shape
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc), w - 2).astype(np.intp)
-    y0 = np.minimum(np.floor(yc), h - 2).astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    v00 = plane[y0, x0]
-    v01 = plane[y0, x0 + 1]
-    v10 = plane[y0 + 1, x0]
-    v11 = plane[y0 + 1, x0 + 1]
-    gx = (v01 - v00) * (1.0 - fy) + (v11 - v10) * fy
-    gy = (v10 - v00) * (1.0 - fx) + (v11 - v01) * fx
+    _, _, gx, gy = bilinear_many(plane, xs, ys, grad=True)
     return gx, gy
 
 

@@ -19,30 +19,24 @@ the scale direction entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall
-from .geometry import (
-    EPSILON_Z,
-    CameraIntrinsics,
-    Pose6D,
-    skew,
-    so3_exp,
-    so3_right_jacobian,
-)
+from .geometry import CameraIntrinsics, Pose6D, skew, so3_exp, so3_exp_vjp, so3_right_jacobian
 from .imaging import (
     ImageBuffer,
     InverseDepthMap,
-    bilinear_grad_many,
-    bilinear_many,
     downsample2_arr,
     laplacian_arr,
     pyramid_arr,
     upsample2_grad_arr,
 )
-from .synth import pixel_grid
+# perfbench traces the samplers under this module's name; the loss
+# reaches them through the warp module.
+from .imaging import bilinear_grad_many, bilinear_many  # noqa: F401
+from .warp import points, warp_and_sample, warp_vjp
 
 # Number of pyramid scales in the aggregate objective.
 NUM_SCALES = 4
@@ -203,34 +197,16 @@ def _warp_with_grads(src_gray, d, pose: Pose6D, k: CameraIntrinsics):
     inverse depth and the 6-vector pose (t, omega).
     """
     h, w = d.shape
-    u, v = pixel_grid(w, h, k)
-    dirs = np.stack([u, v, np.ones_like(u)], axis=-1)
+    X = points(k, d)
     R = so3_exp(pose.omega)
-    P = dirs @ R.T + d[..., None] * pose.t
-    front = P[..., 2] > EPSILON_Z
-    z = np.where(front, P[..., 2], 1.0)
-    px = (P[..., 0] / z) * k.fx + k.cx
-    py = (P[..., 1] / z) * k.fy + k.cy
-    warped, in_view = bilinear_many(src_gray, px, py)
-    mask = front & in_view
-    jr = so3_right_jacobian(pose.omega)
+    warped, mask, lin = warp_and_sample(src_gray, X, R, pose.t, k, grad=True)
 
     def backward(g_warped):
-        g_warped = g_warped * mask
-        gx, gy = bilinear_grad_many(src_gray, px, py)
-        g_u = g_warped * gx * k.fx
-        g_v = g_warped * gy * k.fy
-        up = P[..., 0] / z
-        vp = P[..., 1] / z
-        g_P = np.stack([g_u / z, g_v / z, -(up * g_u + vp * g_v) / z], axis=-1)
-        g_d = np.einsum("hwc,c->hw", g_P, pose.t)
-        g_t = np.einsum("hw,hwc->c", d, g_P)
-        # dP = dR x with dR = R [Jr dw]x, so g_w = Jr^T sum_i x_i cross (R^T g_P_i).
-        rp = g_P @ R
-        g_omega = jr.T @ np.sum(np.cross(dirs.reshape(-1, 3), rp.reshape(-1, 3)), axis=0)
-        return g_d, np.concatenate([g_t, g_omega])
+        g_d, g_t, g_R = warp_vjp(X, pose.t, lin, g_warped.ravel())
+        g_omega = so3_exp_vjp(pose.omega, R, g_R)
+        return g_d.reshape(h, w), np.concatenate([g_t, g_omega])
 
-    return warped, mask, backward
+    return warped.reshape(h, w), mask.reshape(h, w), backward
 
 
 def appearance_loss(ref: ImageBuffer, src: ImageBuffer, d_ref: InverseDepthMap,
@@ -279,8 +255,7 @@ def appearance_loss(ref: ImageBuffer, src: ImageBuffer, d_ref: InverseDepthMap,
     g_filled = ssim_back(g_s)
     g_l1 = np.zeros_like(ref_gray)
     g_l1[1:-1, 1:-1] = -(1.0 - alpha) * np.sign(diff) / count
-    g_warped = (g_filled + g_l1) * mask
-    g_d, g_pose = backward(g_warped)
+    g_d, g_pose = backward(g_filled + g_l1)
     return loss, g_d, g_pose
 
 

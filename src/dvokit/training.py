@@ -29,7 +29,7 @@ import numpy as np
 
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from .dvo import DvoSettings, solve_coarse_to_fine
-from .errors import DivergenceDetected, ShapeMismatch
+from .errors import DivergenceDetected, DvokitError, ShapeMismatch
 from .geometry import CameraIntrinsics, Pose6D
 from .imaging import ImageBuffer, InverseDepthMap
 from .losses import (
@@ -194,8 +194,12 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
     middle frame when ``gt_inv_depth`` is given.  ``init_inv_depths``
     overrides the default depth initialization (three rasters).
 
-    Raises DivergenceDetected when the loss turns non-finite; the
-    partial trace is attached to the exception as ``.trace``.
+    Every ``DvokitError`` raised during the steps (``DivergenceDetected``
+    when the loss turns non-finite, ``DegenerateOverlap``,
+    ``SingularSystem``, ``DegenerateDepth``) carries the partial trace as
+    ``.trace``: the records of the completed steps, with the depths and
+    poses of the step that raised.  Its ``diverged`` flag is set for
+    ``DivergenceDetected`` only.
     """
     if cfg.mode == "fixed-pose-gt" and gt_poses is None:
         raise ValueError("fixed-pose-gt mode requires ground-truth poses")
@@ -214,95 +218,97 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
     records = []
     last_poses = (Pose6D.identity(), Pose6D.identity())
     last_depths = None
-    for step in range(cfg.steps):
-        param = DepthParam(logits)
-        raw = param.decode()
-        if cfg.normalize_depth:
-            loss_depths = [
-                normalize_inverse_depth(InverseDepthMap.from_array(raw[i]))
-                for i in range(3)
-            ]
-        else:
-            loss_depths = [InverseDepthMap.from_array(raw[i]) for i in range(3)]
-
-        pose_from_params = (
-            Pose6D.from_vector(pose_vec[:6]),
-            Pose6D.from_vector(pose_vec[6:]),
-        )
-        tapes = None
-        train_pose_params = False
-        if cfg.mode == "fixed-pose-gt":
-            p21, p23 = gt_poses
-        elif cfg.mode == "pose-param":
-            p21, p23 = pose_from_params
-            train_pose_params = True
-        elif cfg.mode == "dvo-em":
-            p21 = solve_coarse_to_fine(
-                images[1], loss_depths[1], images[0], k, Pose6D.identity(), cfg.dvo
-            ).pose
-            p23 = solve_coarse_to_fine(
-                images[1], loss_depths[1], images[2], k, Pose6D.identity(), cfg.dvo
-            ).pose
-        else:
-            if cfg.mode == "ddvo-hybrid" and step < cfg.pose_warmup_steps:
-                p21, p23 = pose_from_params
-                train_pose_params = True
-            else:
-                init21 = Pose6D.identity()
-                init23 = Pose6D.identity()
-                if cfg.mode == "ddvo-hybrid":
-                    init21, init23 = pose_from_params
-                p21, tape21 = ddvo_forward(
-                    images[1], loss_depths[1], images[0], k,
-                    replace(cfg.ddvo, init_pose=init21),
-                )
-                p23, tape23 = ddvo_forward(
-                    images[1], loss_depths[1], images[2], k,
-                    replace(cfg.ddvo, init_pose=init23),
-                )
-                tapes = (tape21, tape23)
-
-        bd = triplet_loss(
-            Triplet(tuple(images), tuple(loss_depths), p21, p23), k, cfg.weights
-        )
-        mean_inv = float(np.mean([d.values.mean() for d in loss_depths]))
-        gt_error = float("nan")
-        if gt_inv_depth is not None:
-            gt_error = _gt_abs_rel(raw[1], gt_inv_depth.values)
-        records.append(
-            TrainStepRecord(step, bd.total, float(sum(bd.appearance_per_scale)),
-                            float(sum(bd.prior_per_scale)), mean_inv, gt_error)
-        )
-        last_poses = (p21, p23)
-        last_depths = tuple(d.values for d in loss_depths)
-        if not np.isfinite(bd.total):
-            trace = TrainTrace(tuple(records), last_depths, last_poses, diverged=True)
-            err = DivergenceDetected(f"loss became non-finite at step {step}")
-            err.trace = trace
-            raise err
-
-        grad_loss_depths = [np.asarray(g) for g in bd.grad_depths]
-        if tapes is not None:
-            grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
-                tapes[0], bd.grad_p21
-            )
-            grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
-                tapes[1], bd.grad_p23
-            )
-        if cfg.normalize_depth:
-            grad_raw = np.stack(
-                [
-                    normalize_inverse_depth_vjp(raw[i], grad_loss_depths[i])
+    try:
+        for step in range(cfg.steps):
+            param = DepthParam(logits)
+            raw = param.decode()
+            if cfg.normalize_depth:
+                loss_depths = [
+                    normalize_inverse_depth(InverseDepthMap.from_array(raw[i]))
                     for i in range(3)
                 ]
+            else:
+                loss_depths = [InverseDepthMap.from_array(raw[i]) for i in range(3)]
+            last_depths = tuple(d.values for d in loss_depths)
+
+            pose_from_params = (
+                Pose6D.from_vector(pose_vec[:6]),
+                Pose6D.from_vector(pose_vec[6:]),
             )
-        else:
-            grad_raw = np.stack(grad_loss_depths)
-        grad_logits = grad_raw * param.decode_grad()
-        logits, depth_state = adam_step(depth_state, logits, grad_logits)
-        if train_pose_params:
-            pose_grad = np.concatenate([bd.grad_p21, bd.grad_p23])
-            pose_vec, pose_state = adam_step(pose_state, pose_vec, pose_grad)
+            tapes = None
+            train_pose_params = False
+            if cfg.mode == "fixed-pose-gt":
+                p21, p23 = gt_poses
+            elif cfg.mode == "pose-param":
+                p21, p23 = pose_from_params
+                train_pose_params = True
+            elif cfg.mode == "dvo-em":
+                p21 = solve_coarse_to_fine(
+                    images[1], loss_depths[1], images[0], k, Pose6D.identity(), cfg.dvo
+                ).pose
+                p23 = solve_coarse_to_fine(
+                    images[1], loss_depths[1], images[2], k, Pose6D.identity(), cfg.dvo
+                ).pose
+            else:
+                if cfg.mode == "ddvo-hybrid" and step < cfg.pose_warmup_steps:
+                    p21, p23 = pose_from_params
+                    train_pose_params = True
+                else:
+                    init21 = Pose6D.identity()
+                    init23 = Pose6D.identity()
+                    if cfg.mode == "ddvo-hybrid":
+                        init21, init23 = pose_from_params
+                    p21, tape21 = ddvo_forward(
+                        images[1], loss_depths[1], images[0], k,
+                        replace(cfg.ddvo, init_pose=init21),
+                    )
+                    p23, tape23 = ddvo_forward(
+                        images[1], loss_depths[1], images[2], k,
+                        replace(cfg.ddvo, init_pose=init23),
+                    )
+                    tapes = (tape21, tape23)
+            last_poses = (p21, p23)
+
+            bd = triplet_loss(
+                Triplet(tuple(images), tuple(loss_depths), p21, p23), k, cfg.weights
+            )
+            mean_inv = float(np.mean([d.values.mean() for d in loss_depths]))
+            gt_error = float("nan")
+            if gt_inv_depth is not None:
+                gt_error = _gt_abs_rel(raw[1], gt_inv_depth.values)
+            records.append(
+                TrainStepRecord(step, bd.total, float(sum(bd.appearance_per_scale)),
+                                float(sum(bd.prior_per_scale)), mean_inv, gt_error)
+            )
+            if not np.isfinite(bd.total):
+                raise DivergenceDetected(f"loss became non-finite at step {step}")
+
+            grad_loss_depths = [np.asarray(g) for g in bd.grad_depths]
+            if tapes is not None:
+                grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
+                    tapes[0], bd.grad_p21
+                )
+                grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
+                    tapes[1], bd.grad_p23
+                )
+            if cfg.normalize_depth:
+                grad_raw = np.stack(
+                    [
+                        normalize_inverse_depth_vjp(raw[i], grad_loss_depths[i])
+                        for i in range(3)
+                    ]
+                )
+            else:
+                grad_raw = np.stack(grad_loss_depths)
+            grad_logits = grad_raw * param.decode_grad()
+            logits, depth_state = adam_step(depth_state, logits, grad_logits)
+            if train_pose_params:
+                pose_grad = np.concatenate([bd.grad_p21, bd.grad_p23])
+                pose_vec, pose_state = adam_step(pose_state, pose_vec, pose_grad)
+    except DvokitError as err:
+        err.trace = TrainTrace(tuple(records), last_depths, last_poses,
+                               diverged=isinstance(err, DivergenceDetected))
+        raise
 
     return TrainTrace(tuple(records), last_depths, last_poses)
 

@@ -1,0 +1,88 @@
+"""The inverse-depth warp with bilinear sampling, and its vector-Jacobian product.
+
+DVO, the unrolled DDVO solver and the photometric losses all warp the
+same way.  A reference pixel with normalized coordinates ``(u, v)`` and
+inverse depth ``d`` is the homogeneous point ``X = [u, v, 1, d]``; the
+source camera sees it at ``P = R @ [u, v, 1] + d * t = [R | t] @ X``
+and the source image is sampled bilinearly where ``P`` projects.  The
+points of a pyramid level are built once (``points``), so one warp is
+one ``(3, 4) x (4, N)`` product, a division and one fused bilinear
+lookup that also yields the image gradient when the VJP needs it.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .geometry import EPSILON_Z, CameraIntrinsics
+from .imaging import bilinear_many
+
+
+class WarpLinearization(NamedTuple):
+    """What ``warp_vjp`` needs from one warp, one entry per pixel."""
+
+    mask: np.ndarray  # in front of the camera and inside the source
+    up: np.ndarray  # projected normalized coordinates P_x / P_z
+    vp: np.ndarray  # and P_y / P_z
+    z: np.ndarray  # P_z, with 1 standing in behind the camera
+    gu: np.ndarray  # source gradient in normalized coordinates: fx * d/dx
+    gv: np.ndarray  # and fy * d/dy
+
+
+def points(k: CameraIntrinsics, depth):
+    """``(4, N)`` points ``[u, v, 1, d]`` of an (H, W) inverse-depth raster.
+
+    ``(u, v)`` are the normalized coordinates of the pixel centers, and
+    the N = H * W points run in row-major order.
+    """
+    h, w = depth.shape
+    X = np.empty((4, h, w))
+    X[0] = (np.arange(w) - k.cx) / k.fx
+    X[1] = ((np.arange(h) - k.cy) / k.fy)[:, None]
+    X[2] = 1.0
+    X[3] = depth
+    return X.reshape(4, h * w)
+
+
+def warp_and_sample(plane, X, R, t, k: CameraIntrinsics, grad=False):
+    """Warp the points ``X`` by ``(R, t)`` and sample the source ``plane``.
+
+    Returns ``(values, mask)``, flat over the N points; ``mask`` marks
+    points in front of the camera that land inside the source raster.
+    With ``grad=True`` returns ``(values, mask, lin)``, where ``lin`` is
+    the ``WarpLinearization`` that ``warp_vjp`` consumes.
+    """
+    Rt = np.empty((3, 4))
+    Rt[:, :3] = R
+    Rt[:, 3] = t
+    P = Rt @ X
+    front = P[2] > EPSILON_Z
+    z = np.where(front, P[2], 1.0)
+    up = P[0] / z
+    vp = P[1] / z
+    sampled = bilinear_many(plane, up * k.fx + k.cx, vp * k.fy + k.cy, grad)
+    mask = front & sampled[1]
+    if not grad:
+        return sampled[0], mask
+    values, _, gx, gy = sampled
+    return values, mask, WarpLinearization(mask, up, vp, z, gx * k.fx, gy * k.fy)
+
+
+def warp_vjp(X, t, lin: WarpLinearization, g):
+    """Pull a gradient ``g`` on the masked samples back through the warp.
+
+    Returns ``(g_depth, g_t, g_R)``: the gradient on each point's inverse
+    depth, on ``t``, and on the matrix ``R`` (an ambient 3x3 gradient; see
+    ``geometry.so3_exp_vjp`` for the step to exponential coordinates).
+    Masked-out samples are constant and pass no gradient.
+    """
+    g = np.where(lin.mask, g, 0.0)
+    # Projection u' = P_x / P_z and v' = P_y / P_z, then P = [R | t] @ X.
+    g_P = np.empty((3, g.size))
+    np.divide(g * lin.gu, lin.z, out=g_P[0])
+    np.divide(g * lin.gv, lin.z, out=g_P[1])
+    g_P[2] = -(lin.up * g_P[0] + lin.vp * g_P[1])
+    g_Rt = g_P @ X.T
+    return t @ g_P, g_Rt[:, 3], g_Rt[:, :3]

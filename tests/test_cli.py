@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dvokit import bundled, fileio
+from dvokit import cli
 from dvokit.cli import main
 from dvokit.geometry import Pose6D, pose_from_matrix
 
@@ -146,6 +147,28 @@ class TestTrainDemo:
                   "--config", str(cfg), "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_run_still_writes_trace_and_depth(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # An inverse depth of 5 warps the outer frames mostly out of view.
+        real_train = cli.train_triplet
+
+        def train_from_near_depth(*args, **kwargs):
+            init = [np.full((64, 80), 5.0)] * 3
+            return real_train(*args, init_inv_depths=init, **kwargs)
+
+        monkeypatch.setattr(cli, "train_triplet", train_from_near_depth)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(DEMO_CFG)
+        out = tmp_path / "trace.csv"
+        code = main(["train-demo", "--mode", "fixed-pose-gt", "--normalize", "off",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "warp in view" in capsys.readouterr().err
+        lines = out.read_text().strip().splitlines()
+        assert lines == ["step,total,appearance,prior,mean_inv_depth,gt_error"]
+        depth = fileio.read_pfm(tmp_path / "trace_depth.pfm")
+        assert np.allclose(depth, 5.0)
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train-demo", "--mode", "cnn", "--out", str(tmp_path / "x.csv")])
@@ -258,16 +281,3 @@ class TestSynth:
         )
         assert np.linalg.norm(got.t - gt.t) < 0.1 * np.linalg.norm(gt.t)
 
-
-class TestThreadCap:
-    def test_invalid_value_exit_1(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("DDVO_THREADS", "lots")
-        p = tmp_path / "x.pfm"
-        fileio.write_pfm(p, np.ones((2, 2)))
-        assert main(["eval", str(p), str(p)]) == 1
-
-    def test_cap_accepted(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("DDVO_THREADS", "1")
-        p = tmp_path / "x.pfm"
-        fileio.write_pfm(p, np.ones((2, 2)))
-        assert main(["eval", str(p), str(p)]) == 0

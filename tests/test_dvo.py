@@ -14,6 +14,7 @@ from dvokit.errors import SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import ImageBuffer, InverseDepthMap, bilinear_many
 from dvokit.synth import SceneSpec, make_scene, pixel_grid
+from dvokit.warp import points
 
 
 def rotation_error_deg(est: Pose6D, true: Pose6D):
@@ -50,7 +51,8 @@ class TestPrecomputeReferenceSystem:
         rng = np.random.default_rng(11)
         ref = rng.uniform(0.0, 1.0, size=(h, w))
         depth = rng.uniform(0.25, 0.5, size=(h, w))
-        J, u, v = build_jacobian(ref, depth, k)
+        J = build_jacobian(ref, points(k, depth), k)
+        u, v = pixel_grid(w, h, k)
 
         def warped_intensity(p_vec):
             pose = Pose6D.from_vector(p_vec)

@@ -4,7 +4,8 @@ import pytest
 from dvokit.bundled import training_triplet
 from dvokit.ddvo import DdvoSettings
 from dvokit.dvo import DvoSettings
-from dvokit.errors import ShapeMismatch
+from dvokit import training
+from dvokit.errors import DegenerateOverlap, ShapeMismatch, SingularSystem
 from dvokit.geometry import Pose6D
 from dvokit.imaging import ImageBuffer, InverseDepthMap
 from dvokit.training import (
@@ -199,6 +200,44 @@ class TestTrainTriplet:
         fields = lines[1].split(",")
         assert int(fields[0]) == 0
         assert abs(float(fields[1]) - trace.records[0].total) < 1e-15
+
+
+class TestFailedRunKeepsTrace:
+    def test_overlap_failure_carries_trace(self, clip):
+        # Inverse depth 5 pushes the ground-truth warp of the outer frames
+        # mostly out of view, so the first loss evaluation fails.
+        images, k, gt_poses, gt_d = clip
+        init = [np.full((64, 80), 5.0)] * 3
+        cfg = short_cfg("fixed-pose-gt", normalize_depth=False)
+        with pytest.raises(DegenerateOverlap) as info:
+            train_triplet(images, k, cfg, gt_poses=gt_poses, gt_inv_depth=gt_d,
+                          init_inv_depths=init)
+        trace = info.value.trace
+        assert trace.records == ()
+        assert not trace.diverged
+        assert np.allclose(trace.final_inv_depths[1], 5.0)
+        for got, want in zip(trace.final_poses, gt_poses):
+            assert np.array_equal(got.as_vector(), want.as_vector())
+
+    def test_mid_run_failure_keeps_completed_steps(self, clip, monkeypatch):
+        images, k, gt_poses, gt_d = clip
+        calls = []
+        real_loss = training.triplet_loss
+
+        def failing_at_step_3(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise SingularSystem("forced")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "triplet_loss", failing_at_step_3)
+        with pytest.raises(SingularSystem) as info:
+            train_triplet(images, k, short_cfg("fixed-pose-gt"), gt_poses=gt_poses,
+                          gt_inv_depth=gt_d)
+        trace = info.value.trace
+        assert [r.step for r in trace.records] == [0, 1, 2]
+        assert all(np.isfinite(r.total) for r in trace.records)
+        assert trace.final_inv_depths[1].shape == (64, 80)
 
 
 class TestEmAlternation:
