@@ -17,6 +17,13 @@ Depth enters the unrolled computation three ways:
 Paths (b) and (c) can be switched off (``grad_through_jacobian=False``)
 to measure their contribution; path (a) is always active.
 
+The forward pass and the frozen-Jacobian replay run the Gauss-Newton
+pieces of ``dvo`` (``level_system``, ``gauss_newton_step``,
+``update_pose``); this module adds the tape and its reverse pass.  The
+tape keeps each level's system (points, J, its depth factor A and the
+damping) and each iteration's damped normal matrix H, so the backward
+pass rebuilds neither.
+
 All internal pose state is kept in matrix form (R, t); exponential
 coordinates appear only at the pose update deltas and at the final
 output, where the log map is differentiated through its right Jacobian.
@@ -28,14 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateOverlap, InstanceTooLarge, SingularSystem, TapeMismatch
+from .errors import InstanceTooLarge, TapeMismatch
 from .dvo import (
-    MIN_VALID_FRACTION,
-    _well_conditioned,
-    build_jacobian,
-    default_damping,
-    translation_coefficients,
+    DAMPING_COEFF,
+    LevelSystem,
+    check_grids,
+    gauss_newton_step,
+    level_system,
+    update_pose,
 )
+# perfbench traces the Jacobian build under this module's name; the solver
+# reaches it through dvo.level_system.
+from .dvo import build_jacobian  # noqa: F401
 from .geometry import (
     CameraIntrinsics,
     Pose6D,
@@ -49,13 +60,10 @@ from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, upsample2_grad_a
 # perfbench traces these under this module's name; the solver reaches the
 # sampler and the image gradient through the warp and dvo modules.
 from .imaging import bilinear_grad_many, bilinear_many, gradient_arr  # noqa: F401
-from .warp import points, warp_and_sample, warp_vjp
+from .warp import warp_and_sample, warp_vjp
 
 # Dense-Jacobian test helper refuses instances larger than this.
 MAX_DENSE_PIXELS = 4096
-
-# Trace coefficient of the default damping, lambda = c * sum(J*J) / 6.
-_DAMPING_COEFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,26 +89,22 @@ class DdvoSettings:
 
 @dataclass(frozen=True)
 class _IterRecord:
-    """Pose state entering one unrolled iteration plus the update it produced."""
+    """Pose state entering one unrolled iteration, its damped normal
+    matrix ``H`` and the update it produced."""
 
     R: np.ndarray
     t: np.ndarray
+    H: np.ndarray
     delta: np.ndarray
 
 
 @dataclass(frozen=True)
 class _LevelRecord:
-    """Per-level constants and the iteration trail at that level.
+    """Per-level constants and the iteration trail at that level."""
 
-    ``X`` holds the level's ``(4, N)`` warp points ``[u, v, 1, d]``.
-    """
-
-    ref_gray: np.ndarray
     src_gray: np.ndarray
-    X: np.ndarray
     k: CameraIntrinsics
-    J: np.ndarray
-    lam: float
+    system: LevelSystem
     iters: tuple
 
 
@@ -133,11 +137,7 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                  src_img: ImageBuffer, k: CameraIntrinsics,
                  settings: DdvoSettings):
     """Run the fixed unrolled solve; returns ``(pose, tape)``."""
-    if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
-        raise ValueError("reference image and depth grids differ")
-    if (ref_img.height, ref_img.width) != (src_img.height, src_img.width):
-        raise ValueError("reference and source grids differ")
-
+    check_grids(ref_img, ref_depth, src_img)
     ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
     src_pyr = pyramid_arr(src_img.gray(), settings.levels)
     depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
@@ -146,37 +146,16 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
     t = settings.init_pose.t.copy()
     level_records = []
     for lv in reversed(range(settings.levels)):
-        ref_gray = ref_pyr[lv]
         src_gray = src_pyr[lv]
-        depth = depth_pyr[lv]
         k_lv = k.at_level(lv)
-        X = points(k_lv, depth)
-        J = build_jacobian(ref_gray, X, k_lv)
-        lam = settings.damping if settings.damping is not None else default_damping(J)
-        damp = lam * np.eye(6)
-        if not _well_conditioned(J.T @ J + damp):
-            raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-        ref_flat = ref_gray.ravel()
+        system = level_system(ref_pyr[lv], depth_pyr[lv], k_lv, settings.damping)
         iters = []
         for _ in range(settings.unroll_iters):
-            sampled, mask = warp_and_sample(src_gray, X, R, t, k_lv)
-            wvec = mask.astype(float)
-            if wvec.mean() < MIN_VALID_FRACTION:
-                raise DegenerateOverlap(
-                    f"only {wvec.mean():.1%} of pixels remained in view"
-                )
-            Jw = J * wvec[:, None]
-            H = J.T @ Jw + damp
-            if not _well_conditioned(H):
-                raise SingularSystem("weighted normal equations became singular")
-            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
-            iters.append(_IterRecord(R, t, delta))
-            Rd = so3_exp(delta[3:])
-            t = Rd @ t + delta[:3]
-            R = Rd @ R
-        level_records.append(
-            _LevelRecord(ref_gray, src_gray, X, k_lv, J, lam, tuple(iters))
-        )
+            sampled, mask = warp_and_sample(src_gray, system.X, R, t, k_lv)
+            delta, _, H = gauss_newton_step(system, sampled, mask)
+            iters.append(_IterRecord(R, t, H, delta))
+            R, t = update_pose(delta, R, t)
+        level_records.append(_LevelRecord(src_gray, k_lv, system, tuple(iters)))
 
     tape = DdvoTape(
         settings=settings,
@@ -218,24 +197,17 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
 
     # Levels were executed coarsest -> finest and stored in that order.
     for level_index, level in reversed(list(enumerate(tape.levels))):
-        J, X = level.J, level.X
-        ref_flat = level.ref_gray.ravel()
+        # Only the translational columns of J carry depth, as d * A.T.
+        J, X, A = level.system.J, level.system.X, level.system.A
         g_d_level = np.zeros(X.shape[1])
-        damp = level.lam * np.eye(6)
         g_lam = 0.0
-        if through_j:
-            # Only the translational columns of J carry depth, as d * A.T.
-            A = translation_coefficients(level.ref_gray, X, level.k)
 
         for it in reversed(level.iters):
-            R, t, delta = it.R, it.t, it.delta
+            R, t, H, delta = it.R, it.t, it.H, it.delta
             sampled, mask, lin = warp_and_sample(level.src_gray, X, R, t, level.k,
                                                  grad=True)
-            wvec = mask.astype(float)
-            Jw = J * wvec[:, None]
-            H = J.T @ Jw + damp
 
-            # Pose update: t' = Rd t + dt, R' = Rd R.
+            # Pose update (dvo.update_pose): t' = Rd t + dt, R' = Rd R.
             Rd = so3_exp(delta[3:])
             g_Rd = g_R @ R.T + np.outer(g_t, t)
             g_R_prev = Rd.T @ g_R
@@ -249,8 +221,8 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
                 # g_J = W (r q^T - (J delta) q^T - (J q) delta^T), taken
                 # only on the three depth-carrying columns.
                 Aq, Ad = np.stack((q[:3], delta[:3])) @ A
-                r = ref_flat - sampled
-                g_d_level += wvec * ((r - Jd) * Aq - Jq * Ad)
+                r = level.system.ref_flat - sampled
+                g_d_level += mask * ((r - Jd) * Aq - Jq * Ad)
                 g_lam -= float(q @ delta)
 
             # r = ref - warped source, so the samples see -W J q.
@@ -260,8 +232,8 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
 
         if through_j and default_lam:
             # lambda = c * sum(J*J) / 6, and J[:, :3] = d * A.T.
-            g_d_level += g_lam * (_DAMPING_COEFF / 3.0) * X[3] * np.sum(A * A, axis=0)
-        g_d_level = g_d_level.reshape(level.ref_gray.shape)
+            g_d_level += g_lam * (DAMPING_COEFF / 3.0) * X[3] * np.sum(A * A, axis=0)
+        g_d_level = g_d_level.reshape(level.src_gray.shape)
 
         # Lift the level gradient back to the finest grid through the
         # area-average pyramid (adjoint of repeated 2x2 pooling).  The
@@ -293,19 +265,12 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     R = so3_exp(settings.init_pose.omega)
     t = settings.init_pose.t.copy()
     for i, level in enumerate(tape.levels):
-        X = level.X.copy()
+        X = level.system.X.copy()
         X[3] = depth_pyr[settings.levels - 1 - i].ravel()
-        ref_flat = level.ref_gray.ravel()
-        damp = level.lam * np.eye(6)
         for _ in range(settings.unroll_iters):
             sampled, mask = warp_and_sample(level.src_gray, X, R, t, level.k)
-            wvec = mask.astype(float)
-            Jw = level.J * wvec[:, None]
-            H = level.J.T @ Jw + damp
-            delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
-            Rd = so3_exp(delta[3:])
-            t = Rd @ t + delta[:3]
-            R = Rd @ R
+            delta, _, _ = gauss_newton_step(level.system, sampled, mask)
+            R, t = update_pose(delta, R, t)
     return Pose6D(t, so3_log(R))
 
 

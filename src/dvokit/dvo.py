@@ -3,20 +3,30 @@
 Given a grayscale reference image, its inverse depth, and a source image,
 the solver finds the pose minimizing the photometric error between the
 reference and the inversely warped source, coarse-to-fine over image
-pyramids.  The Jacobian is built once per level on the reference image;
-per iteration only the 6x6 weighted normal equations are re-solved so that
-masked-out pixels leave the system entirely (a strengthening of re-using a
-fixed pseudo-inverse, cheap because the Jacobian itself stays fixed).
+pyramids.  The Gauss-Newton solver comes in three pieces that the
+unrolled solver in ``ddvo`` and its frozen-Jacobian replay share:
+
+* ``level_system`` builds the Jacobian once per level on the reference
+  image, with its damping;
+* ``gauss_newton_step`` re-solves only the 6x6 weighted normal equations
+  per iteration, so that masked-out pixels leave the system entirely (a
+  strengthening of re-using a fixed pseudo-inverse, cheap because the
+  Jacobian itself stays fixed);
+* ``update_pose`` applies the step to the pose, kept as a matrix pair
+  ``(R, t)`` within a level.
+
+Each caller warps the source itself and hands the samples to the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateOverlap, SingularSystem
-from .geometry import CameraIntrinsics, Pose6D, compose, so3_exp
+from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from .imaging import ImageBuffer, InverseDepthMap, gradient_arr, pyramid_arr
 # perfbench traces the sampler under this module's name; the solver
 # reaches it through the warp module.
@@ -28,6 +38,9 @@ MIN_VALID_FRACTION = 0.25
 
 # Condition-number ceiling for the damped normal equations.
 MAX_CONDITION = 1e12
+
+# Trace coefficient of the default damping, lambda = c * sum(J*J) / 6.
+DAMPING_COEFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,114 +76,145 @@ class DvoResult:
             raise ValueError("valid_fraction must lie in [0, 1]")
 
 
+class LevelSystem(NamedTuple):
+    """The fixed part of one pyramid level's Gauss-Newton system."""
+
+    X: np.ndarray  # (4, N) warp points [u, v, 1, d], see warp.points
+    J: np.ndarray  # (N, 6) photometric Jacobian at the identity pose
+    A: np.ndarray  # (3, N) depth factor of J: J[:, :3] = d * A.T
+    damp: np.ndarray  # lambda * I, the damping of the normal equations
+    ref_flat: np.ndarray  # reference intensities, one per point
+
+
+def check_grids(ref_img: ImageBuffer, ref_depth: InverseDepthMap, src_img: ImageBuffer):
+    """Raise ValueError unless the reference, its depth and the source share one grid."""
+    if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
+        raise ValueError("reference image and depth grids differ")
+    if (ref_img.height, ref_img.width) != (src_img.height, src_img.width):
+        raise ValueError("reference and source grids differ")
+
+
 def _well_conditioned(H):
+    """Whether ``cond(H) <= MAX_CONDITION``.
+
+    ``H`` is symmetric positive semi-definite, so its condition number is
+    the ratio of its extreme eigenvalues.
+    """
     if not np.all(np.isfinite(H)):
         return False
-    cond = np.linalg.cond(H)
-    return np.isfinite(cond) and cond <= MAX_CONDITION
+    lo, hi = np.linalg.eigvalsh(H)[[0, -1]]
+    return lo > 0.0 and hi / lo <= MAX_CONDITION
 
 
-def translation_coefficients(ref_gray, X, k: CameraIntrinsics):
-    """``(3, N)`` rows ``A`` with ``J[:, :3] = d * A.T``.
+def build_jacobian(ref_gray, X, k: CameraIntrinsics):
+    """(N, 6) photometric Jacobian ``J`` at the identity pose, and ``A``.
 
-    The translational columns of the photometric Jacobian are the only
-    ones that carry the inverse depth ``d``, and they are linear in it.
+    Row i is the image gradient at pixel i (in normalized coordinates)
+    times the warp Jacobian for the warp point ``X[:, i]`` (see
+    ``warp.points``).  The translational columns are the only ones that
+    carry the inverse depth ``d``, and they are linear in it:
+    ``J[:, :3] = d * A.T`` with the ``(3, N)`` coefficients ``A``.
     """
     gx, gy = gradient_arr(ref_gray)
     # Pixel-space gradient to normalized coordinates.
     gu = (gx * k.fx).ravel()
     gv = (gy * k.fy).ravel()
-    return np.stack((gu, gv, -(gu * X[0] + gv * X[1])))
-
-
-def build_jacobian(ref_gray, X, k: CameraIntrinsics):
-    """(N, 6) photometric Jacobian at the identity pose.
-
-    Row i is the image gradient at pixel i (in normalized coordinates)
-    times the warp Jacobian for the warp point ``X[:, i]`` (see
-    ``warp.points``).
-    """
-    A = translation_coefficients(ref_gray, X, k)
-    gu, gv = A[0], A[1]
     uu, vv = X[0], X[1]
+    A = np.stack((gu, gv, -(gu * uu + gv * vv)))
     J = np.empty((uu.size, 6))
     J[:, :3] = (A * X[3]).T
     J[:, 3] = -gu * uu * vv - gv * (1.0 + vv * vv)
     J[:, 4] = gu * (1.0 + uu * uu) + gv * uu * vv
     J[:, 5] = -gu * vv + gv * uu
-    return J
+    return J, A
 
 
-def default_damping(J):
-    return 1e-6 * np.sum(J * J) / 6.0
-
-
-def precompute_reference_system(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
-                                k: CameraIntrinsics, damping: float = 0.0):
-    """Jacobian and its (damped) pseudo-inverse for a reference frame.
+def level_system(ref_gray, depth, k: CameraIntrinsics, damping) -> LevelSystem:
+    """Jacobian and damping of one level; ``damping=None`` picks the default.
 
     Raises SingularSystem when the damped normal equations are numerically
     singular, which signals an untextured reference image.
     """
-    if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
-        raise ValueError("reference image and depth grids differ")
-    J = build_jacobian(ref_img.gray(), points(k, ref_depth.values), k)
-    H = J.T @ J + damping * np.eye(6)
-    if not _well_conditioned(H):
+    X = points(k, depth)
+    J, A = build_jacobian(ref_gray, X, k)
+    lam = damping if damping is not None else DAMPING_COEFF * np.sum(J * J) / 6.0
+    damp = lam * np.eye(6)
+    if not _well_conditioned(J.T @ J + damp):
         raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-    J_pinv = np.linalg.solve(H, J.T)
-    return J, J_pinv
+    return LevelSystem(X, J, A, damp, ref_gray.ravel())
+
+
+def gauss_newton_step(system: LevelSystem, sampled, mask):
+    """One damped Gauss-Newton step from the warped source samples.
+
+    ``sampled`` and ``mask`` are what ``warp.warp_and_sample`` returns at
+    the current pose.  Returns ``(delta, wvec, H)``: the step
+    ``delta = (J^T W J + lambda I)^-1 J^T W r`` on ``(t, omega)``, the
+    in-view weights ``W = diag(wvec)`` and the damped normal matrix ``H``.
+    """
+    wvec = mask.astype(float)
+    valid_fraction = wvec.mean()
+    if valid_fraction < MIN_VALID_FRACTION:
+        raise DegenerateOverlap(f"only {valid_fraction:.1%} of pixels remained in view")
+    J = system.J
+    Jw = J * wvec[:, None]
+    H = J.T @ Jw + system.damp
+    if not _well_conditioned(H):
+        raise SingularSystem("weighted normal equations became singular")
+    delta = np.linalg.solve(H, Jw.T @ system.ref_flat - Jw.T @ sampled)
+    return delta, wvec, H
+
+
+def update_pose(delta, R, t):
+    """``T(delta) @ T(p)`` for the pose ``p = (R, t)``, as a new ``(R, t)``.
+
+    This is the update all three solvers apply.  The residual is
+    reference minus warped source, ``r(p) = I_ref(x) - I_src(<T(p) X>)``,
+    and the solvers' Jacobian ``J`` is that of the reference warped by
+    ``T(delta)``, at ``delta = 0`` (built once, as in Baker & Matthews
+    2004).  Near alignment the source warped by ``T(delta) T(p)`` varies
+    with ``delta`` as the reference warped by ``T(delta)`` does, up to the
+    adjoint of ``T(p)``, so ``r(T(delta) T(p)) ~ r(p) - J delta``.  The
+    Gauss-Newton step ``delta = (J^T W J + lambda I)^-1 J^T W r`` lowers
+    that as it stands, so it composes on the left without inversion;
+    ``T(delta)^-1 T(p)`` (``geometry.compose_left``) would step by
+    ``-delta``.
+    """
+    Rd = so3_exp(delta[3:])
+    return Rd @ R, Rd @ t + delta[:3]
+
+
+def _mean_sq(ref_flat, sampled, wvec):
+    r = (ref_flat - sampled) * wvec
+    return float(np.sum(r * r) / np.sum(wvec))
 
 
 def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
                        settings: DvoSettings):
     """Single-level Gauss-Newton solve on bare arrays."""
-    X = points(k, depth)
-    J = build_jacobian(ref_gray, X, k)
-    lam = settings.damping if settings.damping is not None else default_damping(J)
-    damp = lam * np.eye(6)
-    if not _well_conditioned(J.T @ J + damp):
-        raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-
-    pose = init
-    ref_flat = ref_gray.ravel()
+    system = level_system(ref_gray, depth, k, settings.damping)
+    R, t = so3_exp(init.omega), init.t
     residuals = []
-    valid_fraction = 0.0
-    mean_sq = 0.0
-    iters = 0
     for _ in range(settings.max_iters_per_level):
-        R = so3_exp(pose.omega)
-        sampled, mask = warp_and_sample(src_gray, X, R, pose.t, k)
-        wvec = mask.astype(float)
+        sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
+        delta, wvec, _ = gauss_newton_step(system, sampled, mask)
         valid_fraction = float(wvec.mean())
-        if valid_fraction < MIN_VALID_FRACTION:
-            raise DegenerateOverlap(
-                f"only {valid_fraction:.1%} of pixels remained in view"
-            )
-        r = (ref_flat - sampled) * wvec
-        mean_sq = float(np.sum(r * r) / np.sum(wvec))
+        mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
         residuals.append(mean_sq)
-        Jw = J * wvec[:, None]
-        H = J.T @ Jw + damp
-        if not _well_conditioned(H):
-            raise SingularSystem("weighted normal equations became singular")
-        delta = np.linalg.solve(H, Jw.T @ ref_flat - Jw.T @ sampled)
-        iters += 1
-        pose = compose(Pose6D.from_vector(delta), pose)
+        R, t = update_pose(delta, R, t)
         if np.linalg.norm(delta) < settings.step_norm_tol:
             break
 
     # Residual and validity at the returned pose.
-    R = so3_exp(pose.omega)
-    sampled, mask = warp_and_sample(src_gray, X, R, pose.t, k)
+    iters = len(residuals)
+    sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
     wvec = mask.astype(float)
     if wvec.sum() > 0:
-        r = (ref_flat - sampled) * wvec
-        mean_sq = float(np.sum(r * r) / np.sum(wvec))
+        mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
         valid_fraction = float(wvec.mean())
     residuals.append(mean_sq)
     return DvoResult(
-        pose=pose,
+        pose=Pose6D(t, so3_log(R)),
         final_residual=mean_sq,
         iterations_used=(iters,),
         valid_fraction=valid_fraction,
@@ -178,22 +222,11 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
     )
 
 
-def solve_level(ref_img: ImageBuffer, ref_depth: InverseDepthMap, src_img: ImageBuffer,
-                k: CameraIntrinsics, init: Pose6D, settings: DvoSettings) -> DvoResult:
-    """Solve for the pose on a single pyramid level."""
-    if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
-        raise ValueError("reference image and depth grids differ")
-    if (ref_img.height, ref_img.width) != (src_img.height, src_img.width):
-        raise ValueError("reference and source grids differ")
-    return solve_level_arrays(
-        ref_img.gray(), ref_depth.values, src_img.gray(), k, init, settings
-    )
-
-
 def solve_coarse_to_fine(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                          src_img: ImageBuffer, k: CameraIntrinsics, init: Pose6D,
                          settings: DvoSettings) -> DvoResult:
     """Coarse-to-fine solve; each level warm-starts the next finer one."""
+    check_grids(ref_img, ref_depth, src_img)
     ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
     src_pyr = pyramid_arr(src_img.gray(), settings.levels)
     depth_pyr = pyramid_arr(ref_depth.values, settings.levels)

@@ -11,8 +11,9 @@ Conventions used throughout the package:
   point ``x`` with inverse depth ``d`` is ``<R @ [x, 1] + d * t>`` where
   ``< . >`` divides by the third component.
 * The Gauss-Newton solvers solve the update ``delta`` on the reference
-  image and apply it as ``T(delta) @ T(p)``, with no inversion; ``compose``
-  derives this from the residual sign (reference minus warped source).
+  image and apply it as ``T(delta) @ T(p)``, with no inversion;
+  ``dvo.update_pose`` derives this from the residual sign (reference
+  minus warped source).
 
 All arithmetic is double precision; the normal equations downstream are
 too ill-conditioned for float32.
@@ -269,35 +270,17 @@ def warp_jacobian_identity(x: NormalizedPoint, d: float):
 
 
 def compose_left(delta: Pose6D, p: Pose6D) -> Pose6D:
-    """Pose of ``T(delta)^-1 @ T(p)``, which undoes ``compose(delta, .)``.
+    """Pose of ``T(delta)^-1 @ T(p)``, which undoes the solvers' update.
 
-    This is not the solvers' update: with the residual oriented as
-    reference minus warped source it moves by ``-delta``; see ``compose``.
+    The solvers apply ``T(delta) @ T(p)``: with the residual oriented as
+    reference minus warped source this inverse moves by ``-delta``; see
+    ``dvo.update_pose``.
     """
     Rd = so3_exp(delta.omega)
     Rp = so3_exp(p.omega)
     R = Rd.T @ Rp
     t = Rd.T @ (p.t - delta.t)
     return Pose6D(t, so3_log(R))
-
-
-def compose(delta: Pose6D, p: Pose6D) -> Pose6D:
-    """Pose of ``T(delta) @ T(p)``: the update all three solvers apply.
-
-    The residual is reference minus warped source, ``r(p) = I_ref(x) -
-    I_src(<T(p) X>)``, and the solvers' Jacobian ``J`` is that of the
-    reference warped by ``T(delta)``, at ``delta = 0`` (built once, as in
-    Baker & Matthews 2004).  Near alignment the source warped by
-    ``T(delta) T(p)`` varies with ``delta`` as the reference warped by
-    ``T(delta)`` does, up to the adjoint of ``T(p)``, so
-    ``r(T(delta) T(p)) ~ r(p) - J delta``.  The
-    Gauss-Newton step ``delta = (J^T W J + lambda I)^-1 J^T W r`` lowers
-    that as it stands, so it composes on the left without inversion;
-    ``T(delta)^-1 T(p)`` (``compose_left``) would step by ``-delta``.
-    """
-    Rd = so3_exp(delta.omega)
-    Rp = so3_exp(p.omega)
-    return Pose6D(Rd @ p.t + delta.t, so3_log(Rd @ Rp))
 
 
 def pose_from_matrix(T) -> Pose6D:

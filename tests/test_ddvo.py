@@ -9,7 +9,7 @@ from dvokit.ddvo import (
     pose_depth_jacobian_dense,
     replay_frozen_jacobian,
 )
-from dvokit.dvo import DvoSettings, solve_level
+from dvokit.dvo import DvoSettings, solve_coarse_to_fine
 from dvokit.errors import InstanceTooLarge, TapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D
 from dvokit.imaging import ImageBuffer, InverseDepthMap
@@ -56,12 +56,15 @@ class TestForward:
 
     def test_matches_dvo_when_settings_coincide(self):
         ref, depth, src, k, _ = small_instance(0, width=32, height=32)
-        dvo_res = solve_level(
-            ref, depth, src, k, Pose6D.identity(),
-            DvoSettings(levels=1, max_iters_per_level=3, step_norm_tol=1e-300),
-        )
-        pose, _ = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=3))
-        assert np.max(np.abs(pose.as_vector() - dvo_res.pose.as_vector())) < 1e-12
+        for levels in (1, 3):
+            dvo_res = solve_coarse_to_fine(
+                ref, depth, src, k, Pose6D.identity(),
+                DvoSettings(levels=levels, max_iters_per_level=3, step_norm_tol=1e-300),
+            )
+            pose, _ = ddvo_forward(
+                ref, depth, src, k, DdvoSettings(unroll_iters=3, levels=levels)
+            )
+            assert np.max(np.abs(pose.as_vector() - dvo_res.pose.as_vector())) < 1e-12
 
     def test_three_iterations_near_true_pose(self):
         ref, depth, src, true_pose, k = small_motion_pair(0)

@@ -6,9 +6,8 @@ from dvokit.dvo import (
     DvoResult,
     DvoSettings,
     build_jacobian,
-    precompute_reference_system,
     solve_coarse_to_fine,
-    solve_level,
+    solve_level_arrays,
 )
 from dvokit.errors import SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
@@ -26,19 +25,22 @@ def translation_rel_error(est: Pose6D, true: Pose6D):
     return np.linalg.norm(est.t - true.t) / np.linalg.norm(true.t)
 
 
+def solve_level(ref_img, ref_depth, src_img, k, init, settings):
+    """One-level solve on the images' gray planes and the depth values."""
+    return solve_level_arrays(
+        ref_img.gray(), ref_depth.values, src_img.gray(), k, init, settings
+    )
+
+
 class TestPrecomputeReferenceSystem:
     def test_constant_image_raises(self):
         img = ImageBuffer(np.full((16, 16), 0.5))
         depth = InverseDepthMap.from_array(np.full((16, 16), 0.4))
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
         with pytest.raises(SingularSystem):
-            precompute_reference_system(img, depth, k, damping=0.0)
-
-    def test_pinv_identity(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=3, width=32, height=24)
-        img, depth = make_scene(spec)
-        J, J_pinv = precompute_reference_system(img, depth, spec.intrinsics, damping=0.0)
-        assert np.max(np.abs(J_pinv @ J - np.eye(6))) < 1e-8
+            solve_coarse_to_fine(
+                img, depth, img, k, Pose6D.identity(), DvoSettings(levels=1, damping=0.0)
+            )
 
     def test_jacobian_matches_finite_differences(self):
         # Row i of J is the derivative at p = 0 of the warped intensity
@@ -51,7 +53,7 @@ class TestPrecomputeReferenceSystem:
         rng = np.random.default_rng(11)
         ref = rng.uniform(0.0, 1.0, size=(h, w))
         depth = rng.uniform(0.25, 0.5, size=(h, w))
-        J = build_jacobian(ref, points(k, depth), k)
+        J, _ = build_jacobian(ref, points(k, depth), k)
         u, v = pixel_grid(w, h, k)
 
         def warped_intensity(p_vec):
@@ -209,4 +211,6 @@ class TestValidation:
         img, depth = make_scene(spec)
         small = ImageBuffer(img.gray()[:16, :16])
         with pytest.raises(ValueError):
-            solve_level(img, depth, small, spec.intrinsics, Pose6D.identity(), DvoSettings())
+            solve_coarse_to_fine(
+                img, depth, small, spec.intrinsics, Pose6D.identity(), DvoSettings()
+            )
