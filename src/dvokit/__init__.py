@@ -13,15 +13,12 @@ from .config import (
 from .ddvo import (
     DdvoSettings,
     DdvoTape,
-    PoseDepthJacobian,
     ddvo_backward,
     ddvo_forward,
-    pose_depth_jacobian_dense,
     replay_frozen_jacobian,
 )
 from .dvo import DvoResult, DvoSettings, solve_coarse_to_fine, solve_level_arrays
 from .errors import (
-    BehindCamera,
     ConfigError,
     DegenerateDepth,
     DegenerateOverlap,
@@ -29,7 +26,6 @@ from .errors import (
     DvokitError,
     FileFormatError,
     GridTooSmall,
-    InstanceTooLarge,
     LengthMismatch,
     NoValidPixels,
     ShapeMismatch,
@@ -56,14 +52,13 @@ from .metrics import (
     median_align,
     similarity_align,
 )
-from .synth import SceneSpec, make_pair, make_scene, make_triplet, render_view
+from .synth import SceneSpec, make_pair, make_scene, make_triplet
 from .training import (
     AdamState,
     DepthParam,
     TrainConfig,
     TrainTrace,
     adam_step,
-    em_alternation,
     train_triplet,
 )
 
@@ -71,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "BehindCamera",
     "CameraIntrinsics",
     "CameraSettings",
     "ConfigError",
@@ -89,14 +83,12 @@ __all__ = [
     "GradcheckSettings",
     "GridTooSmall",
     "ImageBuffer",
-    "InstanceTooLarge",
     "InverseDepthMap",
     "LengthMismatch",
     "LossBreakdown",
     "LossWeights",
     "NoValidPixels",
     "Pose6D",
-    "PoseDepthJacobian",
     "RunConfig",
     "SceneSpec",
     "ShapeMismatch",
@@ -112,7 +104,6 @@ __all__ = [
     "ddvo_backward",
     "ddvo_forward",
     "depth_metrics",
-    "em_alternation",
     "load_config",
     "make_pair",
     "make_scene",
@@ -120,9 +111,7 @@ __all__ = [
     "median_align",
     "normalize_inverse_depth",
     "parse_config",
-    "pose_depth_jacobian_dense",
     "pose_from_matrix",
-    "render_view",
     "replay_frozen_jacobian",
     "similarity_align",
     "smoothness_prior",

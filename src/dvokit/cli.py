@@ -7,8 +7,8 @@ score depth maps and trajectories, and ``synth`` generates fixture
 scenes.  Numeric settings come from a ``section.key = value`` config
 file; flags carry only modes and paths.
 
-Exit codes: 0 success, 1 I/O or configuration errors, 2 degenerate or
-diverged numeric runs, 3 failed gradient checks.
+Exit codes: 0 success, 1 I/O, configuration or grid-mismatch errors,
+2 degenerate or diverged numeric runs, 3 failed gradient checks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import bundled, fileio, synth
 from .config import RunConfig, load_config
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from .dvo import solve_coarse_to_fine
-from .errors import ConfigError, DvokitError, FileFormatError
+from .errors import ConfigError, DvokitError, FileFormatError, ShapeMismatch
 from .geometry import Pose6D
 from .imaging import InverseDepthMap
 from .losses import Triplet, normalize_inverse_depth_vjp, triplet_loss
@@ -46,11 +46,6 @@ def cmd_odometry(args) -> int:
     ref = fileio.read_image(args.ref)
     depth = fileio.read_inverse_depth(args.ref_depth)
     src = fileio.read_image(args.src)
-    if (ref.height, ref.width) != (depth.height, depth.width) or (
-        ref.height, ref.width
-    ) != (src.height, src.width):
-        print("error: image and depth dimensions differ", file=sys.stderr)
-        return EXIT_IO
     k = _intrinsics_for(cfg, ref.width, ref.height)
     result = solve_coarse_to_fine(ref, depth, src, k, Pose6D.identity(), cfg.dvo)
     print(fileio.format_pose_row(result.pose.matrix()))
@@ -395,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileFormatError, ConfigError, OSError) as exc:
+    except (FileFormatError, ConfigError, ShapeMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DvokitError as exc:

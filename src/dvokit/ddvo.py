@@ -21,8 +21,8 @@ The forward pass and the frozen-Jacobian replay run the Gauss-Newton
 pieces of ``dvo`` (``level_system``, ``gauss_newton_step``,
 ``update_pose``); this module adds the tape and its reverse pass.  The
 tape keeps each level's system (points, J, its depth factor A and the
-damping) and each iteration's damped normal matrix H, so the backward
-pass rebuilds neither.
+damping) and each iteration's damped normal matrix H and step rotation,
+so the backward pass rebuilds none of them.
 
 All internal pose state is kept in matrix form (R, t); exponential
 coordinates appear only at the pose update deltas and at the final
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InstanceTooLarge, TapeMismatch
+from .errors import TapeMismatch
 from .dvo import (
     DAMPING_COEFF,
     LevelSystem,
@@ -56,14 +56,11 @@ from .geometry import (
     so3_log,
     so3_right_jacobian_inv,
 )
-from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, upsample2_grad_arr
+from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, pyramid_grad_arr
 # perfbench traces these under this module's name; the solver reaches the
 # sampler and the image gradient through the warp and dvo modules.
 from .imaging import bilinear_grad_many, bilinear_many, gradient_arr  # noqa: F401
 from .warp import warp_and_sample, warp_vjp
-
-# Dense-Jacobian test helper refuses instances larger than this.
-MAX_DENSE_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,12 +87,13 @@ class DdvoSettings:
 @dataclass(frozen=True)
 class _IterRecord:
     """Pose state entering one unrolled iteration, its damped normal
-    matrix ``H`` and the update it produced."""
+    matrix ``H``, the update it produced and that update's rotation."""
 
     R: np.ndarray
     t: np.ndarray
     H: np.ndarray
     delta: np.ndarray
+    Rd: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,6 @@ class DdvoTape:
         return sum(len(lv.iters) for lv in self.levels)
 
 
-@dataclass(frozen=True)
-class PoseDepthJacobian:
-    """Dense 6 x N pose-by-depth Jacobian (test-support only)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("PoseDepthJacobian requires finite entries")
-
-
 def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                  src_img: ImageBuffer, k: CameraIntrinsics,
                  settings: DdvoSettings):
@@ -153,8 +140,9 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         for _ in range(settings.unroll_iters):
             sampled, mask = warp_and_sample(src_gray, system.X, R, t, k_lv)
             delta, _, H = gauss_newton_step(system, sampled, mask)
-            iters.append(_IterRecord(R, t, H, delta))
-            R, t = update_pose(delta, R, t)
+            R_next, t_next, Rd = update_pose(delta, R, t)
+            iters.append(_IterRecord(R, t, H, delta, Rd))
+            R, t = R_next, t_next
         level_records.append(_LevelRecord(src_gray, k_lv, system, tuple(iters)))
 
     tape = DdvoTape(
@@ -203,12 +191,11 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
         g_lam = 0.0
 
         for it in reversed(level.iters):
-            R, t, H, delta = it.R, it.t, it.H, it.delta
+            R, t, H, delta, Rd = it.R, it.t, it.H, it.delta, it.Rd
             sampled, mask, lin = warp_and_sample(level.src_gray, X, R, t, level.k,
                                                  grad=True)
 
             # Pose update (dvo.update_pose): t' = Rd t + dt, R' = Rd R.
-            Rd = so3_exp(delta[3:])
             g_Rd = g_R @ R.T + np.outer(g_t, t)
             g_R_prev = Rd.T @ g_R
             g_t_prev = Rd.T @ g_t
@@ -236,18 +223,10 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
         g_d_level = g_d_level.reshape(level.src_gray.shape)
 
         # Lift the level gradient back to the finest grid through the
-        # area-average pyramid (adjoint of repeated 2x2 pooling).  The
-        # tape stores levels coarsest-first, so the pyramid depth of this
-        # record is the reverse of its list position.
+        # area-average pyramid.  The tape stores levels coarsest-first, so
+        # the pyramid depth of this record is the reverse of its position.
         pyr_level = tape.settings.levels - 1 - level_index
-        shapes = [tape.finest_shape]
-        for _ in range(pyr_level):
-            h, w = shapes[-1]
-            shapes.append((h // 2, w // 2))
-        lifted = g_d_level
-        for target in reversed(shapes[:-1]):
-            lifted = upsample2_grad_arr(lifted, target)
-        grad_depth += lifted
+        grad_depth += pyramid_grad_arr(g_d_level, pyr_level, tape.finest_shape)
 
     return grad_depth
 
@@ -270,23 +249,6 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
         for _ in range(settings.unroll_iters):
             sampled, mask = warp_and_sample(level.src_gray, X, R, t, level.k)
             delta, _, _ = gauss_newton_step(level.system, sampled, mask)
-            R, t = update_pose(delta, R, t)
+            R, t, _ = update_pose(delta, R, t)
     return Pose6D(t, so3_log(R))
 
-
-def pose_depth_jacobian_dense(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
-                              src_img: ImageBuffer, k: CameraIntrinsics,
-                              settings: DdvoSettings) -> PoseDepthJacobian:
-    """Materialize the full 6 x N pose-by-depth Jacobian (small inputs only)."""
-    n = ref_depth.height * ref_depth.width
-    if n > MAX_DENSE_PIXELS:
-        raise InstanceTooLarge(
-            f"{n} pixels exceeds the dense-Jacobian cap of {MAX_DENSE_PIXELS}"
-        )
-    _, tape = ddvo_forward(ref_img, ref_depth, src_img, k, settings)
-    rows = []
-    for r in range(6):
-        seed = np.zeros(6)
-        seed[r] = 1.0
-        rows.append(ddvo_backward(tape, seed).ravel())
-    return PoseDepthJacobian(np.stack(rows, axis=0))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateOverlap, SingularSystem
+from .errors import DegenerateOverlap, ShapeMismatch, SingularSystem
 from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from .imaging import ImageBuffer, InverseDepthMap, gradient_arr, pyramid_arr
 # perfbench traces the sampler under this module's name; the solver
@@ -87,11 +87,11 @@ class LevelSystem(NamedTuple):
 
 
 def check_grids(ref_img: ImageBuffer, ref_depth: InverseDepthMap, src_img: ImageBuffer):
-    """Raise ValueError unless the reference, its depth and the source share one grid."""
+    """Raise ShapeMismatch unless the reference, its depth and the source share one grid."""
     if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
-        raise ValueError("reference image and depth grids differ")
+        raise ShapeMismatch("reference image and depth grids differ")
     if (ref_img.height, ref_img.width) != (src_img.height, src_img.width):
-        raise ValueError("reference and source grids differ")
+        raise ShapeMismatch("reference and source grids differ")
 
 
 def _well_conditioned(H):
@@ -166,7 +166,10 @@ def gauss_newton_step(system: LevelSystem, sampled, mask):
 
 
 def update_pose(delta, R, t):
-    """``T(delta) @ T(p)`` for the pose ``p = (R, t)``, as a new ``(R, t)``.
+    """``T(delta) @ T(p)`` for the pose ``p = (R, t)``, as ``(R', t', Rd)``.
+
+    ``Rd = so3_exp(delta[3:])`` is the step's rotation, which the DDVO
+    tape keeps for its reverse pass.
 
     This is the update all three solvers apply.  The residual is
     reference minus warped source, ``r(p) = I_ref(x) - I_src(<T(p) X>)``,
@@ -177,11 +180,10 @@ def update_pose(delta, R, t):
     adjoint of ``T(p)``, so ``r(T(delta) T(p)) ~ r(p) - J delta``.  The
     Gauss-Newton step ``delta = (J^T W J + lambda I)^-1 J^T W r`` lowers
     that as it stands, so it composes on the left without inversion;
-    ``T(delta)^-1 T(p)`` (``geometry.compose_left``) would step by
-    ``-delta``.
+    ``T(delta)^-1 T(p)`` would step by ``-delta``.
     """
     Rd = so3_exp(delta[3:])
-    return Rd @ R, Rd @ t + delta[:3]
+    return Rd @ R, Rd @ t + delta[:3], Rd
 
 
 def _mean_sq(ref_flat, sampled, wvec):
@@ -201,7 +203,7 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
         valid_fraction = float(wvec.mean())
         mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
         residuals.append(mean_sq)
-        R, t = update_pose(delta, R, t)
+        R, t, _ = update_pose(delta, R, t)
         if np.linalg.norm(delta) < settings.step_norm_tol:
             break
 

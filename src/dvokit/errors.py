@@ -5,10 +5,6 @@ class DvokitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BehindCamera(DvokitError):
-    """A 3D point's depth fell at or below the projection epsilon."""
-
-
 class GridTooSmall(DvokitError):
     """An image operation received a raster below its minimum size."""
 
@@ -24,10 +20,6 @@ class DegenerateOverlap(DvokitError):
 
 class TapeMismatch(DvokitError):
     """A backward pass received a seed or tape inconsistent with the forward."""
-
-
-class InstanceTooLarge(DvokitError):
-    """A test-support helper was called above its size guard."""
 
 
 class DegenerateDepth(DvokitError):

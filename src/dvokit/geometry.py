@@ -1,4 +1,4 @@
-"""SE(3) poses, rotations via the exponential map, and the inverse-depth warp.
+"""SE(3) poses, rotations via the exponential map, and pinhole intrinsics.
 
 Conventions used throughout the package:
 
@@ -9,7 +9,7 @@ Conventions used throughout the package:
 * Image points live in normalized coordinates (pixel coordinates
   pre-multiplied by the inverse intrinsics), so the warp of a reference
   point ``x`` with inverse depth ``d`` is ``<R @ [x, 1] + d * t>`` where
-  ``< . >`` divides by the third component.
+  ``< . >`` divides by the third component (``warp`` implements it).
 * The Gauss-Newton solvers solve the update ``delta`` on the reference
   image and apply it as ``T(delta) @ T(p)``, with no inversion;
   ``dvo.update_pose`` derives this from the residual sign (reference
@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera
-
-# Depth (z) below this projects as "behind camera" instead of exploding.
+# Warped points with depth (z) at or below this are masked as behind the camera.
 EPSILON_Z = 1e-6
 
 # Below this angle the closed-form Rodrigues terms 0/0; switch to Taylor.
@@ -158,30 +156,9 @@ class Pose6D:
         T[:3, 3] = self.t
         return T
 
-    def rotation(self):
-        return Rotation3(so3_exp(self.omega))
-
     def inverse(self):
         R = so3_exp(self.omega)
         return Pose6D(-R.T @ self.t, -self.omega)
-
-
-@dataclass(frozen=True)
-class Rotation3:
-    """3x3 rotation matrix wrapper; orthonormality checked on construction."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("Rotation3 requires finite entries")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > 1e-9:
-            raise ValueError("Rotation3 matrix is not orthonormal")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("Rotation3 matrix has negative determinant")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -215,72 +192,6 @@ class CameraIntrinsics:
         for _ in range(level):
             k = k.halved()
         return k
-
-
-@dataclass(frozen=True)
-class NormalizedPoint:
-    """Image-plane point in normalized (K^-1-multiplied) coordinates."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ValueError("NormalizedPoint requires finite coordinates")
-
-
-def rodrigues(omega) -> Rotation3:
-    """Rotation from exponential coordinates."""
-    return Rotation3(so3_exp(omega))
-
-
-def project(P) -> NormalizedPoint:
-    """Pinhole projection of a 3D point; raises BehindCamera for z <= eps."""
-    P = np.asarray(P, dtype=float).reshape(3)
-    if P[2] <= EPSILON_Z:
-        raise BehindCamera(f"point depth {P[2]!r} <= {EPSILON_Z}")
-    return NormalizedPoint(P[0] / P[2], P[1] / P[2])
-
-
-def warp_point(x: NormalizedPoint, p: Pose6D, d: float) -> NormalizedPoint:
-    """Warp a reference point with inverse depth ``d`` by pose ``p``.
-
-    Computes ``<R(omega) @ [u, v, 1] + d * t>``; ``d = 0`` is the point at
-    infinity and is translation-invariant.
-    """
-    if d < 0.0:
-        raise ValueError("inverse depth must be non-negative")
-    R = so3_exp(p.omega)
-    P = R @ np.array([x.u, x.v, 1.0]) + d * p.t
-    return project(P)
-
-
-def warp_jacobian_identity(x: NormalizedPoint, d: float):
-    """Exact 2x6 derivative of ``warp_point`` with respect to the pose at 0.
-
-    Column order ``(t_x, t_y, t_z, w_x, w_y, w_z)``.
-    """
-    u, v = x.u, x.v
-    return np.array(
-        [
-            [d, 0.0, -d * u, -u * v, 1.0 + u * u, -v],
-            [0.0, d, -d * v, -(1.0 + v * v), u * v, u],
-        ]
-    )
-
-
-def compose_left(delta: Pose6D, p: Pose6D) -> Pose6D:
-    """Pose of ``T(delta)^-1 @ T(p)``, which undoes the solvers' update.
-
-    The solvers apply ``T(delta) @ T(p)``: with the residual oriented as
-    reference minus warped source this inverse moves by ``-delta``; see
-    ``dvo.update_pose``.
-    """
-    Rd = so3_exp(delta.omega)
-    Rp = so3_exp(p.omega)
-    R = Rd.T @ Rp
-    t = Rd.T @ (p.t - delta.t)
-    return Pose6D(t, so3_log(R))
 
 
 def pose_from_matrix(T) -> Pose6D:

@@ -2,14 +2,15 @@
 
 Images are stored as float64 arrays of shape ``(height, width, channels)``
 with photometric values in [0, 1]; inverse-depth rasters are unconstrained
-non-negative single-channel buffers.  The vectorized ``*_many`` helpers
-operate on bare arrays and are what the solvers use internally; the
-scalar operations wrap the same arithmetic.
+non-negative single-channel buffers.  The operations below work on bare
+(H, W) arrays (the solvers take ``ImageBuffer.gray()`` and
+``InverseDepthMap.values``); the pyramid and its adjoint are one pair,
+``pyramid_arr`` and ``pyramid_grad_arr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +50,6 @@ class ImageBuffer:
     def channels(self):
         return self.data.shape[2]
 
-    def plane(self, c=0):
-        """Single channel as a (H, W) array view."""
-        return self.data[:, :, c]
-
     def gray(self):
         """(H, W) intensity: pass-through for 1 channel, fixed RGB weights for 3."""
         if self.channels == 1:
@@ -89,29 +86,6 @@ class InverseDepthMap:
     @property
     def width(self):
         return self.image.width
-
-
-@dataclass(frozen=True)
-class ImagePyramid:
-    """Coarse-to-fine stack; level 0 is the finest, each level floor-halves."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValueError("pyramid needs at least one level")
-        object.__setattr__(self, "levels", tuple(self.levels))
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
-
-
-# A validity mask is a boolean (H, W) array: True where a warped coordinate
-# landed inside the source image and in front of the camera.
-ValidityMask = np.ndarray
 
 
 def bilinear_many(plane, xs, ys, grad=False):
@@ -160,47 +134,10 @@ def bilinear_grad_many(plane, xs, ys):
     return gx, gy
 
 
-def sample_bilinear(img: ImageBuffer, x):
-    """Sample all channels at subpixel location ``x = (x, y)`` (pixels).
-
-    Returns ``(value, in_view)``; the value is 0 when any of the four
-    neighbors falls outside the raster.
-    """
-    px, py = float(x[0]), float(x[1])
-    vals = np.empty(img.channels)
-    in_view = True
-    for c in range(img.channels):
-        v, ok = bilinear_many(img.plane(c), np.array([px]), np.array([py]))
-        vals[c] = v[0]
-        in_view = bool(ok[0])
-    return vals, in_view
-
-
-def sample_bilinear_grad(img: ImageBuffer, x):
-    """Per-channel (d/dx, d/dy) of the bilinear sample at an in-view point."""
-    px, py = float(x[0]), float(x[1])
-    out = np.empty((img.channels, 2))
-    for c in range(img.channels):
-        gx, gy = bilinear_grad_many(img.plane(c), np.array([px]), np.array([py]))
-        out[c] = (gx[0], gy[0])
-    return out
-
-
 def gradient_arr(plane):
     """(d/dx, d/dy) of a (H, W) plane: central interior, one-sided borders."""
     gy, gx = np.gradient(plane)
     return gx, gy
-
-
-def spatial_gradient(img: ImageBuffer) -> ImageBuffer:
-    """Per-channel spatial gradient; output channels are (dx_c, dy_c) pairs."""
-    if img.width < 3 or img.height < 3:
-        raise GridTooSmall("spatial_gradient needs at least a 3x3 raster")
-    planes = []
-    for c in range(img.channels):
-        gx, gy = gradient_arr(img.plane(c))
-        planes.extend([gx, gy])
-    return ImageBuffer(np.stack(planes, axis=2))
 
 
 def laplacian_arr(plane):
@@ -210,25 +147,13 @@ def laplacian_arr(plane):
     return np.abs(lap)
 
 
-def laplacian(img: ImageBuffer) -> ImageBuffer:
-    """Absolute Laplacian of a single-channel image."""
-    if img.channels != 1:
-        raise ValueError("laplacian expects a single-channel image")
-    if img.width < 3 or img.height < 3:
-        raise GridTooSmall("laplacian needs at least a 3x3 raster")
-    return ImageBuffer(laplacian_arr(img.plane()))
-
-
 def downsample2_arr(data):
-    """2x2 average pooling; an odd trailing row/column is dropped."""
-    h, w = data.shape[:2]
+    """2x2 average pooling of a (H, W) plane; an odd trailing row/column is dropped."""
+    h, w = data.shape
     if h < 2 or w < 2:
-        raise GridTooSmall("downsample2 needs at least a 2x2 raster")
+        raise GridTooSmall("2x2 pooling needs at least a 2x2 raster")
     h2, w2 = h // 2, w // 2
-    d = data[: 2 * h2, : 2 * w2]
-    if d.ndim == 2:
-        return d.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
-    return d.reshape(h2, 2, w2, 2, d.shape[2]).mean(axis=(1, 3))
+    return data[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
 
 
 def upsample2_grad_arr(grad_coarse, fine_shape):
@@ -245,27 +170,23 @@ def upsample2_grad_arr(grad_coarse, fine_shape):
     return out
 
 
-def downsample2(img: ImageBuffer) -> ImageBuffer:
-    return ImageBuffer(downsample2_arr(img.data))
-
-
-def build_pyramid(img: ImageBuffer, levels: int) -> ImagePyramid:
-    """Level 0 = input; each level is the factor-2 average of the previous."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if img.width < 2 ** (levels - 1) or img.height < 2 ** (levels - 1):
-        raise GridTooSmall(
-            f"{img.width}x{img.height} raster cannot support {levels} pyramid levels"
-        )
-    out = [img]
-    for _ in range(levels - 1):
-        out.append(downsample2(out[-1]))
-    return ImagePyramid(tuple(out))
-
-
 def pyramid_arr(plane, levels):
     """Pyramid of a bare (H, W) plane (list of arrays, finest first)."""
     out = [np.asarray(plane, dtype=float)]
     for _ in range(levels - 1):
         out.append(downsample2_arr(out[-1]))
     return out
+
+
+def pyramid_grad_arr(grad, level, fine_shape):
+    """Adjoint of ``pyramid_arr``: lift a gradient on ``level`` to the finest grid.
+
+    ``fine_shape`` is the (H, W) of level 0; the gradient goes back through
+    each 2x2 average that built ``level``, coarsest first.
+    """
+    shapes = [fine_shape]
+    for _ in range(level - 1):
+        shapes.append((shapes[-1][0] // 2, shapes[-1][1] // 2))
+    for target in reversed(shapes[:level]):
+        grad = upsample2_grad_arr(grad, target)
+    return grad

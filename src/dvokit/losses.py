@@ -28,10 +28,9 @@ from .geometry import CameraIntrinsics, Pose6D, skew, so3_exp, so3_exp_vjp, so3_
 from .imaging import (
     ImageBuffer,
     InverseDepthMap,
-    downsample2_arr,
     laplacian_arr,
     pyramid_arr,
-    upsample2_grad_arr,
+    pyramid_grad_arr,
 )
 # perfbench traces the samplers under this module's name; the loss
 # reaches them through the warp module.
@@ -93,12 +92,11 @@ class Triplet:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-scale terms, direction sub-totals, and all gradients."""
+    """Per-scale terms and all gradients."""
 
     appearance_per_scale: tuple
     prior_per_scale: tuple
     total: float
-    directions: tuple  # (toward-middle sub-total, away-from-middle sub-total)
     grad_depths: tuple  # gradients on the three finest inverse-depth rasters
     grad_p21: np.ndarray
     grad_p23: np.ndarray
@@ -262,7 +260,7 @@ def appearance_loss(ref: ImageBuffer, src: ImageBuffer, d_ref: InverseDepthMap,
 def smoothness_prior(d: InverseDepthMap, img: ImageBuffer):
     """Edge-aware second-order smoothness of an inverse-depth map.
 
-    Mean over interior pixels of exp(-|laplacian(I)|) times the summed
+    Mean over interior pixels of exp(-|Laplacian(I)|) times the summed
     absolute second differences of the depth; returns ``(loss, grad)``.
     """
     if d.height < 3 or d.width < 3:
@@ -310,20 +308,6 @@ def _inverse_pose_vjp(pose: Pose6D, g_inv):
     return g
 
 
-def _depth_pyramid(values):
-    out = [np.asarray(values, dtype=float)]
-    for _ in range(NUM_SCALES - 1):
-        out.append(downsample2_arr(out[-1]))
-    return out
-
-
-def _lift_depth_grad(grad, level, shapes):
-    """Adjoint of the repeated 2x2 average back to the finest grid."""
-    for target in reversed(shapes[:level]):
-        grad = upsample2_grad_arr(grad, target)
-    return grad
-
-
 def triplet_loss(t: Triplet, k: CameraIntrinsics,
                  weights: LossWeights = LossWeights()) -> LossBreakdown:
     """Full multi-scale objective over a triplet, with all gradients.
@@ -335,14 +319,12 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
     """
     grays = [img.gray() for img in t.images]
     img_pyrs = [pyramid_arr(g, NUM_SCALES) for g in grays]
-    depth_pyrs = [_depth_pyramid(d.values) for d in t.inv_depths]
-    shapes = [p.shape for p in depth_pyrs[0]]
+    depth_pyrs = [pyramid_arr(d.values, NUM_SCALES) for d in t.inv_depths]
+    fine_shape = depth_pyrs[0][0].shape
 
-    grad_depths = [np.zeros(shapes[0]) for _ in range(3)]
+    grad_depths = [np.zeros(fine_shape) for _ in range(3)]
     grad_p21 = np.zeros(6)
     grad_p23 = np.zeros(6)
-    toward_middle = 0.0
-    away_from_middle = 0.0
     appearance_per_scale = []
 
     p12 = t.p21.inverse()
@@ -366,12 +348,9 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
                 pose, k_s, s, weights,
             )
             scale_total += loss
-            grad_depths[d_i] += _lift_depth_grad(g_d, s, shapes)
+            grad_depths[d_i] += pyramid_grad_arr(g_d, s, fine_shape)
             if inverted:
                 g_pose = _inverse_pose_vjp(t.p21 if slot == 0 else t.p23, g_pose)
-                away_from_middle += loss
-            else:
-                toward_middle += loss
             if slot == 0:
                 grad_p21 += g_pose
             else:
@@ -388,7 +367,7 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
                 ImageBuffer(img_pyrs[i][s]),
             )
             scale_prior += loss
-            grad_depths[i] += lam * _lift_depth_grad(g_d, s, shapes)
+            grad_depths[i] += lam * pyramid_grad_arr(g_d, s, fine_shape)
         prior_per_scale.append(scale_prior)
 
     total = float(sum(appearance_per_scale) + lam * sum(prior_per_scale))
@@ -396,7 +375,6 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
         appearance_per_scale=tuple(appearance_per_scale),
         prior_per_scale=tuple(prior_per_scale),
         total=total,
-        directions=(toward_middle, away_from_middle),
         grad_depths=tuple(grad_depths),
         grad_p21=grad_p21,
         grad_p23=grad_p23,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDepth, LengthMismatch, NoValidPixels
-from .geometry import Pose6D
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,10 @@ projection coordinates).  Smooth textures keep bilinear-interpolation error
 small, which is what makes the finite-difference and pose-recovery oracles
 tight.
 
-Views at other poses are produced two ways:
-
-* analytically (``render_scene_view``): each view pixel's ray is intersected
-  with the surface exactly and the texture is evaluated in closed form, so a
-  rendered pair is photometrically consistent to machine precision;
-* generically (``render_view``): warp each target pixel into an arbitrary
-  reference raster using the target view's own depth and sample bilinearly.
+Views at other poses are rendered analytically (``render_scene_view``):
+each view pixel's ray is intersected with the surface exactly and the
+texture is evaluated in closed form, so a rendered pair is photometrically
+consistent to machine precision.
 
 Poses follow the package convention: a view's pose maps reference-frame
 points into the view frame, ``X_view = R @ X_ref + t``.
@@ -20,12 +17,12 @@ points into the view frame, ``X_view = R @ X_ref + t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import EPSILON_Z, CameraIntrinsics, Pose6D, so3_exp
-from .imaging import ImageBuffer, InverseDepthMap, bilinear_many
+from .imaging import ImageBuffer, InverseDepthMap
 
 SCENE_KINDS = ("textured-plane", "two-plane", "smooth-height-field")
 
@@ -230,41 +227,6 @@ def render_scene_view(spec: SceneSpec, p: Pose6D):
     tex = _texture(spec)
     img = np.where(valid, tex(u, v), 0.5)
     return ImageBuffer(img), valid
-
-
-def render_view(ref: ImageBuffer, target_depth: InverseDepthMap, p: Pose6D,
-                k: CameraIntrinsics):
-    """Render the view at pose ``p`` by inverse-warping the reference raster.
-
-    ``target_depth`` is the target view's own inverse depth (the analytic
-    per-view depth, not a screen-space resample of the reference depth).
-    Each target pixel is mapped back into the reference frame through
-    ``T(p)^-1`` and bilinearly sampled; the mask is false where the lookup
-    left the reference raster or went behind either camera.
-    """
-    h, w = target_depth.height, target_depth.width
-    u, v = pixel_grid(w, h, k)
-    d = target_depth.values
-    R = so3_exp(p.omega)
-    # X_ref = R^T (x_tgt / d - t); scaled by d to stay finite at d = 0.
-    dirs = np.stack([u, v, np.ones_like(u)], axis=-1)
-    scaled = dirs - d[..., None] * p.t  # d * (x/d - t)
-    X = scaled @ R  # row-vector form of R^T @ scaled
-    front = X[..., 2] > EPSILON_Z * np.maximum(d, EPSILON_Z)
-    z = np.where(front, X[..., 2], 1.0)
-    ur = X[..., 0] / z
-    vr = X[..., 1] / z
-    px = ur * k.fx + k.cx
-    py = vr * k.fy + k.cy
-    planes = []
-    in_view = np.ones((h, w), dtype=bool)
-    for c in range(ref.channels):
-        vals, ok = bilinear_many(ref.plane(c), px, py)
-        planes.append(vals)
-        in_view &= ok
-    mask = front & in_view
-    out = np.stack(planes, axis=-1) * mask[..., None]
-    return ImageBuffer(out), mask
 
 
 def make_pair(spec: SceneSpec, p: Pose6D):

@@ -31,7 +31,7 @@ from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from .dvo import DvoSettings, solve_coarse_to_fine
 from .errors import DivergenceDetected, DvokitError, ShapeMismatch
 from .geometry import CameraIntrinsics, Pose6D
-from .imaging import ImageBuffer, InverseDepthMap
+from .imaging import InverseDepthMap
 from .losses import (
     LossWeights,
     Triplet,
@@ -312,13 +312,3 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
 
     return TrainTrace(tuple(records), last_depths, last_poses)
 
-
-def em_alternation(images, k: CameraIntrinsics, cfg: TrainConfig,
-                   gt_poses=None, gt_inv_depth=None,
-                   init_inv_depths=None) -> TrainTrace:
-    """EM-style alternation: re-solve the pose every depth step."""
-    return train_triplet(
-        images, k, replace(cfg, mode="dvo-em"),
-        gt_poses=gt_poses, gt_inv_depth=gt_inv_depth,
-        init_inv_depths=init_inv_depths,
-    )

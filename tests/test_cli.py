@@ -5,6 +5,7 @@ from dvokit import bundled, fileio
 from dvokit import cli
 from dvokit.cli import main
 from dvokit.geometry import Pose6D, pose_from_matrix
+from dvokit.imaging import ImageBuffer
 
 
 @pytest.fixture()
@@ -66,6 +67,16 @@ class TestOdometry:
     def test_missing_file_exit_1(self, pair_files, capsys):
         ref, depth, _, _, cfg = pair_files
         assert main(["odometry", str(ref), str(depth), "/nonexistent.pgm"]) == 1
+
+    def test_source_size_mismatch_exit_1(self, pair_files, tmp_path, capsys):
+        ref, depth, src, _, cfg = pair_files
+        small = tmp_path / "small.pgm"
+        fileio.write_pgm(small, ImageBuffer(fileio.read_image(src).gray()[:-8, :-8]))
+        code = main(["odometry", str(ref), str(depth), str(small), "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference and source grids differ" in captured.err
 
 
 GRADCHECK_CFG = (

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from dvokit.bundled import small_motion_pair
-from dvokit.ddvo import (
-    DdvoSettings,
-    ddvo_backward,
-    ddvo_forward,
-    pose_depth_jacobian_dense,
-    replay_frozen_jacobian,
-)
+from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
-from dvokit.errors import InstanceTooLarge, TapeMismatch
+from dvokit.errors import TapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D
 from dvokit.imaging import ImageBuffer, InverseDepthMap
 from dvokit.synth import SceneSpec, make_pair
@@ -44,6 +38,12 @@ def fd_directional(ref, depth, src, k, settings, g, delta, h=1e-5):
     plus = run(depth.values + h * delta)
     minus = run(depth.values - h * delta)
     return float(g @ (plus - minus)) / (2.0 * h)
+
+
+def pose_depth_jacobian(ref, depth, src, k, settings):
+    """Dense 6 x N pose-by-depth Jacobian, one ``ddvo_backward`` per unit seed."""
+    _, tape = ddvo_forward(ref, depth, src, k, settings)
+    return np.stack([ddvo_backward(tape, seed).ravel() for seed in np.eye(6)])
 
 
 class TestForward:
@@ -207,25 +207,15 @@ class TestDenseJacobian:
         img = ImageBuffer(np.full((8, 8), 0.5))
         depth = InverseDepthMap.from_array(np.full((8, 8), 0.4))
         k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
-        jac = pose_depth_jacobian_dense(
+        jac = pose_depth_jacobian(
             img, depth, img, k, DdvoSettings(unroll_iters=1, damping=1e-3)
         )
-        assert np.array_equal(jac.matrix, np.zeros((6, 64)))
-
-    def test_rows_equal_unit_seeds(self):
-        ref, depth, src, k = self.make_8x8()
-        s = DdvoSettings(unroll_iters=2)
-        jac = pose_depth_jacobian_dense(ref, depth, src, k, s)
-        _, tape = ddvo_forward(ref, depth, src, k, s)
-        for r in range(6):
-            seed = np.zeros(6)
-            seed[r] = 1.0
-            assert np.array_equal(jac.matrix[r], ddvo_backward(tape, seed).ravel())
+        assert np.array_equal(jac, np.zeros((6, 64)))
 
     def test_matrix_matches_column_finite_differences(self):
         ref, depth, src, k = self.make_8x8()
         s = DdvoSettings(unroll_iters=2)
-        jac = pose_depth_jacobian_dense(ref, depth, src, k, s).matrix
+        jac = pose_depth_jacobian(ref, depth, src, k, s)
         h = 1e-5
         fd = np.zeros_like(jac)
         for i in range(64):
@@ -241,11 +231,3 @@ class TestDenseJacobian:
             fd[:, i] = (plus.as_vector() - minus.as_vector()) / (2.0 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(jac - fd)) < 1e-3 * scale
-
-    def test_instance_too_large(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=0, width=80, height=64)
-        ref, depth, src, _ = make_pair(spec, Pose6D.identity())
-        with pytest.raises(InstanceTooLarge):
-            pose_depth_jacobian_dense(
-                ref, depth, src, spec.intrinsics, DdvoSettings(unroll_iters=1)
-            )

@@ -9,7 +9,7 @@ from dvokit.dvo import (
     solve_coarse_to_fine,
     solve_level_arrays,
 )
-from dvokit.errors import SingularSystem
+from dvokit.errors import ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import ImageBuffer, InverseDepthMap, bilinear_many
 from dvokit.synth import SceneSpec, make_scene, pixel_grid
@@ -210,7 +210,7 @@ class TestValidation:
         spec = SceneSpec(kind="textured-plane", texture_seed=0, width=32, height=24)
         img, depth = make_scene(spec)
         small = ImageBuffer(img.gray()[:16, :16])
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch):
             solve_coarse_to_fine(
                 img, depth, small, spec.intrinsics, Pose6D.identity(), DvoSettings()
             )

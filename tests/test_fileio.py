@@ -28,7 +28,7 @@ class TestPnm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x7f\xff\x01")
         img = fileio.read_image(path)
-        assert img.plane()[0, 1] == 127 / 255.0
+        assert img.gray()[0, 1] == 127 / 255.0
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "t.pgm"

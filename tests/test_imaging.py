@@ -3,91 +3,84 @@ import pytest
 
 from dvokit.errors import GridTooSmall
 from dvokit.imaging import (
-    ImageBuffer,
     InverseDepthMap,
-    build_pyramid,
-    downsample2,
+    bilinear_many,
     downsample2_arr,
-    laplacian,
-    sample_bilinear,
-    sample_bilinear_grad,
-    spatial_gradient,
+    gradient_arr,
+    laplacian_arr,
+    pyramid_arr,
+    pyramid_grad_arr,
     upsample2_grad_arr,
 )
 
 
-def random_image(rng, h, w, c=1):
-    return ImageBuffer(rng.uniform(0.0, 1.0, size=(h, w, c)))
+def sample(plane, x, y):
+    """``bilinear_many`` at one point: ``(value, in_view)``."""
+    v, ok = bilinear_many(plane, np.array([x]), np.array([y]))
+    return v[0], bool(ok[0])
 
 
 class TestSampleBilinear:
     def test_lattice_points_reproduce_stored_values(self):
         rng = np.random.default_rng(0)
-        img = random_image(rng, 7, 9)
-        for y in range(7):
-            for x in range(9):
-                v, ok = sample_bilinear(img, (x, y))
-                assert ok
-                assert v[0] == img.plane()[y, x]
+        plane = rng.uniform(0.0, 1.0, size=(7, 9))
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+        v, ok = bilinear_many(plane, xs, ys)
+        assert ok.all()
+        assert np.array_equal(v, plane)
 
     def test_midpoint_of_horizontal_neighbors(self):
-        img = ImageBuffer(np.array([[0.2, 0.8], [0.2, 0.8]]))
-        v, ok = sample_bilinear(img, (0.5, 0.0))
+        v, ok = sample(np.array([[0.2, 0.8], [0.2, 0.8]]), 0.5, 0.0)
         assert ok
-        assert v[0] == pytest.approx(0.5, abs=1e-15)
+        assert v == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_bounds_is_zero_and_flagged(self):
-        img = ImageBuffer(np.ones((4, 4)))
-        v, ok = sample_bilinear(img, (-0.5, 0.0))
+        v, ok = sample(np.ones((4, 4)), -0.5, 0.0)
         assert not ok
-        assert v[0] == 0.0
+        assert v == 0.0
 
 
 class TestSampleBilinearGrad:
     def test_constant_image(self):
-        img = ImageBuffer(np.full((5, 5), 0.3))
-        g = sample_bilinear_grad(img, (2.3, 1.7))
-        assert np.array_equal(g, np.zeros((1, 2)))
+        _, _, gx, gy = bilinear_many(np.full((5, 5), 0.3), [2.3], [1.7], grad=True)
+        assert np.array_equal(np.stack((gx, gy)), np.zeros((2, 1)))
 
     def test_horizontal_ramp(self):
-        x = np.tile(np.arange(6.0), (5, 1))
-        img = ImageBuffer(x)
-        g = sample_bilinear_grad(img, (2.4, 2.6))
-        assert np.allclose(g[0], (1.0, 0.0), atol=1e-12)
+        plane = np.tile(np.arange(6.0), (5, 1))
+        _, _, gx, gy = bilinear_many(plane, [2.4], [2.6], grad=True)
+        assert np.allclose((gx[0], gy[0]), (1.0, 0.0), atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        img = random_image(rng, 12, 12)
+        plane = rng.uniform(0.0, 1.0, size=(12, 12))
         h = 1e-5
-        worst = 0.0
-        for _ in range(1000):
-            # Interior, away from lattice lines so the FD stays in one cell.
-            x = rng.uniform(1.1, 9.9)
-            y = rng.uniform(1.1, 9.9)
-            if min(x % 1.0, 1.0 - x % 1.0, y % 1.0, 1.0 - y % 1.0) < 1e-3:
-                continue
-            g = sample_bilinear_grad(img, (x, y))
-            fx = (sample_bilinear(img, (x + h, y))[0] - sample_bilinear(img, (x - h, y))[0]) / (2 * h)
-            fy = (sample_bilinear(img, (x, y + h))[0] - sample_bilinear(img, (x, y - h))[0]) / (2 * h)
-            worst = max(worst, abs(g[0, 0] - fx[0]), abs(g[0, 1] - fy[0]))
+        x, y = rng.uniform(1.1, 9.9, size=(1000, 2)).T
+        # Interior, away from lattice lines so the FD stays in one cell.
+        frac = np.stack((x % 1.0, 1.0 - x % 1.0, y % 1.0, 1.0 - y % 1.0))
+        keep = frac.min(axis=0) >= 1e-3
+        x, y = x[keep], y[keep]
+        _, _, gx, gy = bilinear_many(plane, x, y, grad=True)
+        fx = (bilinear_many(plane, x + h, y)[0] - bilinear_many(plane, x - h, y)[0]) / (2 * h)
+        fy = (bilinear_many(plane, x, y + h)[0] - bilinear_many(plane, x, y - h)[0]) / (2 * h)
+        worst = max(np.max(np.abs(gx - fx)), np.max(np.abs(gy - fy)))
         assert worst < 1e-6
 
 
 class TestSpatialGradient:
     def test_constant_image(self):
-        g = spatial_gradient(ImageBuffer(np.full((5, 5), 0.7)))
-        assert np.array_equal(g.data, np.zeros((5, 5, 2)))
+        gx, gy = gradient_arr(np.full((5, 5), 0.7))
+        assert np.array_equal(np.stack((gx, gy)), np.zeros((2, 5, 5)))
 
     def test_ramp(self):
         x = np.tile(np.arange(8.0), (6, 1)) * 2.0
-        g = spatial_gradient(ImageBuffer(x))
-        assert np.allclose(g.plane(0), 2.0)
-        assert np.allclose(g.plane(1), 0.0)
+        gx, gy = gradient_arr(x)
+        assert np.allclose(gx, 2.0)
+        assert np.allclose(gy, 0.0)
 
     def test_matches_stencil_oracle(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(size=(8, 8))
-        g = spatial_gradient(ImageBuffer(a))
+        got_x, got_y = gradient_arr(a)
         gx = np.empty_like(a)
         gy = np.empty_like(a)
         for y in range(8):
@@ -100,28 +93,24 @@ class TestSpatialGradient:
                     gy[y, x] = (a[y + 1, x] - a[y - 1, x]) / 2.0
                 else:
                     gy[y, x] = a[min(y + 1, 7), x] - a[max(y - 1, 0), x]
-        assert np.array_equal(g.plane(0), gx)
-        assert np.array_equal(g.plane(1), gy)
-
-    def test_grid_too_small(self):
-        with pytest.raises(GridTooSmall):
-            spatial_gradient(ImageBuffer(np.zeros((2, 5))))
+        assert np.array_equal(got_x, gx)
+        assert np.array_equal(got_y, gy)
 
 
 class TestLaplacian:
     def test_constant_image(self):
-        out = laplacian(ImageBuffer(np.full((5, 5), 0.4)))
-        assert np.array_equal(out.plane(), np.zeros((5, 5)))
+        out = laplacian_arr(np.full((5, 5), 0.4))
+        assert np.array_equal(out, np.zeros((5, 5)))
 
     def test_affine_image_interior_zero(self):
         y, x = np.mgrid[0:7, 0:9].astype(float)
-        out = laplacian(ImageBuffer(0.1 + 0.02 * x + 0.03 * y))
-        assert np.max(np.abs(out.plane()[1:-1, 1:-1])) < 1e-12
+        out = laplacian_arr(0.1 + 0.02 * x + 0.03 * y)
+        assert np.max(np.abs(out[1:-1, 1:-1])) < 1e-12
 
     def test_unit_impulse(self):
         a = np.zeros((5, 5))
         a[2, 2] = 1.0
-        out = laplacian(ImageBuffer(a)).plane()
+        out = laplacian_arr(a)
         assert out[2, 2] == 4.0
         for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert out[2 + dy, 2 + dx] == 1.0
@@ -129,17 +118,17 @@ class TestLaplacian:
 
 class TestDownsample2:
     def test_constant(self):
-        out = downsample2(ImageBuffer(np.full((6, 6), 0.3)))
-        assert np.allclose(out.plane(), 0.3)
+        out = downsample2_arr(np.full((6, 6), 0.3))
+        assert np.allclose(out, 0.3)
 
     def test_checkerboard_block(self):
-        out = downsample2(ImageBuffer(np.array([[1.0, 0.0], [0.0, 1.0]])))
-        assert out.plane().shape == (1, 1)
-        assert out.plane()[0, 0] == 0.5
+        out = downsample2_arr(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 0.5
 
     def test_hand_computed_4x4(self):
         a = np.arange(16.0).reshape(4, 4)
-        out = downsample2(ImageBuffer(a)).plane()
+        out = downsample2_arr(a)
         expected = np.array([[2.5, 4.5], [10.5, 12.5]])
         assert np.array_equal(out, expected)
 
@@ -165,28 +154,37 @@ class TestDownsample2:
 
 class TestPyramid:
     def test_single_level_is_input(self):
-        img = ImageBuffer(np.ones((4, 4)))
-        pyr = build_pyramid(img, 1)
+        plane = np.ones((4, 4))
+        pyr = pyramid_arr(plane, 1)
         assert len(pyr) == 1
-        assert pyr[0] is img
+        assert pyr[0] is plane
 
     def test_16x16_three_levels(self):
-        pyr = build_pyramid(ImageBuffer(np.ones((16, 16))), 3)
-        assert [lv.width for lv in pyr.levels] == [16, 8, 4]
+        pyr = pyramid_arr(np.ones((16, 16)), 3)
+        assert [lv.shape[1] for lv in pyr] == [16, 8, 4]
 
     def test_floor_halving_recurrence(self):
-        pyr = build_pyramid(ImageBuffer(np.ones((21, 13))), 3)
-        dims = [(lv.height, lv.width) for lv in pyr.levels]
-        assert dims == [(21, 13), (10, 6), (5, 3)]
+        pyr = pyramid_arr(np.ones((21, 13)), 3)
+        assert [lv.shape for lv in pyr] == [(21, 13), (10, 6), (5, 3)]
 
     def test_constant_stays_constant(self):
-        pyr = build_pyramid(ImageBuffer(np.full((16, 16), 0.6)), 4)
-        for lv in pyr.levels:
-            assert np.allclose(lv.plane(), 0.6)
+        for lv in pyramid_arr(np.full((16, 16), 0.6), 4):
+            assert np.allclose(lv, 0.6)
 
     def test_grid_too_small(self):
+        # The third halving of a 4x4 plane meets a 1x1 raster.
         with pytest.raises(GridTooSmall):
-            build_pyramid(ImageBuffer(np.ones((4, 4))), 4)
+            pyramid_arr(np.ones((4, 4)), 4)
+
+    def test_grad_is_adjoint(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(21, 13))
+        pyr = pyramid_arr(a, 3)
+        for level in range(3):
+            g = rng.normal(size=pyr[level].shape)
+            lhs = np.sum(g * pyr[level])
+            rhs = np.sum(pyramid_grad_arr(g, level, a.shape) * a)
+            assert abs(lhs - rhs) < 1e-12
 
 
 class TestInverseDepthMap:

@@ -226,7 +226,6 @@ class TestTripletLoss:
         assert abs(bd.total - recomputed) < 1e-12
         assert all(a >= 0.0 for a in bd.appearance_per_scale)
         assert all(p >= 0.0 for p in bd.prior_per_scale)
-        assert abs(sum(bd.directions) - sum(bd.appearance_per_scale)) < 1e-12
 
     def test_appearance_scale_invariance(self):
         t, k = consistent_triplet()

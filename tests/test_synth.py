@@ -7,7 +7,6 @@ from dvokit.synth import (
     make_scene,
     make_triplet,
     render_scene_view,
-    render_view,
     scene_view_depth,
 )
 
@@ -95,39 +94,6 @@ class TestRenderSceneView:
         v = X_ref[..., 1] / X_ref[..., 2]
         surface_z = _height_field(spec)(u, v)
         assert np.max(np.abs(X_ref[..., 2] - surface_z)) < 1e-10
-
-
-class TestRenderView:
-    def test_identity_reproduces_reference_exactly(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=2)
-        ref, depth = make_scene(spec)
-        img, mask = render_view(ref, depth, Pose6D.identity(), spec.intrinsics)
-        assert mask.all()
-        assert np.array_equal(img.data, ref.data)
-
-    def test_mask_marks_exactly_the_failed_lookups(self):
-        spec = SceneSpec(kind="textured-plane", texture_seed=2, depth_range=(3.0, 3.0))
-        ref, _ = make_scene(spec)
-        p = Pose6D([0.5, 0.0, 0.0], np.zeros(3))
-        target_depth = scene_view_depth(spec, p)
-        img, mask = render_view(ref, target_depth, p, spec.intrinsics)
-        # A lateral motion this large must push part of the view out of the
-        # reference raster, and every masked pixel must carry value 0.
-        assert not mask.all()
-        assert mask.any()
-        assert np.all(img.data[~mask] == 0.0)
-
-    def test_close_to_analytic_rendering(self):
-        # Bilinear resampling of the smooth texture should agree with the
-        # closed-form rendering to interpolation accuracy.
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=6)
-        ref, _ = make_scene(spec)
-        p = Pose6D([0.03, 0.01, 0.0], [0.0, 0.003, 0.0])
-        target_depth = scene_view_depth(spec, p)
-        approx, mask = render_view(ref, target_depth, p, spec.intrinsics)
-        exact, _ = render_scene_view(spec, p)
-        err = np.abs(approx.data[..., 0] - exact.data[..., 0])[mask]
-        assert np.max(err) < 5e-3
 
 
 class TestMakeTriplet:

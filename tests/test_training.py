@@ -13,7 +13,6 @@ from dvokit.training import (
     DepthParam,
     TrainConfig,
     adam_step,
-    em_alternation,
     train_triplet,
 )
 
@@ -241,14 +240,6 @@ class TestFailedRunKeepsTrace:
 
 
 class TestEmAlternation:
-    def test_matches_dvo_em_mode(self, clip):
-        images, k, _, gt_d = clip
-        cfg = short_cfg("dvo-em")
-        a = train_triplet(images, k, cfg, gt_inv_depth=gt_d)
-        b = em_alternation(images, k, short_cfg("pose-param"), gt_inv_depth=gt_d)
-        for ra, rb in zip(a.records, b.records):
-            assert ra == rb
-
     def test_static_triplet_identity_pose(self):
         rng = np.random.default_rng(3)
         spec_img = ImageBuffer(rng.uniform(0.2, 0.8, size=(32, 40)))
@@ -256,7 +247,7 @@ class TestEmAlternation:
 
         k = CameraIntrinsics(40.0, 40.0, 19.5, 15.5)
         cfg = short_cfg("dvo-em", steps=2)
-        trace = em_alternation([spec_img, spec_img, spec_img], k, cfg)
+        trace = train_triplet([spec_img, spec_img, spec_img], k, cfg)
         p21, p23 = trace.final_poses
         assert np.max(np.abs(p21.as_vector())) < 1e-8
         assert np.max(np.abs(p23.as_vector())) < 1e-8
