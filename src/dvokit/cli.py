@@ -8,7 +8,8 @@ scenes.  Numeric settings come from a ``section.key = value`` config
 file; flags carry only modes and paths.
 
 Exit codes: 0 success, 1 I/O, configuration or grid-mismatch errors,
-2 degenerate or diverged numeric runs, 3 failed gradient checks.
+2 degenerate or diverged numeric runs and unusable trajectory lengths,
+3 failed gradient checks.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from .dvo import solve_coarse_to_fine
 from .errors import ConfigError, DvokitError, FileFormatError, ShapeMismatch
 from .geometry import Pose6D
 from .imaging import InverseDepthMap
-from .losses import Triplet, normalize_inverse_depth_vjp, triplet_loss
+from .losses import (
+    Triplet,
+    normalize_inverse_depth,
+    normalize_inverse_depth_vjp,
+    triplet_loss,
+)
 from .metrics import Trajectory, ate, depth_metrics
-from .training import train_triplet
+from .training import TRAIN_MODES, train_triplet
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -37,16 +43,12 @@ EXIT_DEGENERATE = 2
 EXIT_GRADCHECK = 3
 
 
-def _intrinsics_for(cfg: RunConfig, width, height):
-    return cfg.camera.resolve(width, height)
-
-
 def cmd_odometry(args) -> int:
     cfg = load_config(args.config)
     ref = fileio.read_image(args.ref)
     depth = fileio.read_inverse_depth(args.ref_depth)
     src = fileio.read_image(args.src)
-    k = _intrinsics_for(cfg, ref.width, ref.height)
+    k = cfg.camera.resolve(ref.width, ref.height)
     result = solve_coarse_to_fine(ref, depth, src, k, Pose6D.identity(), cfg.dvo)
     print(fileio.format_pose_row(result.pose.matrix()))
     print(
@@ -185,10 +187,7 @@ def _normalization_check(rng, cfg):
     h = 1e-7
 
     def at(values):
-        from .losses import normalize_inverse_depth
-
-        normed = normalize_inverse_depth(InverseDepthMap.from_array(values))
-        return float(np.sum(w * normed.values))
+        return float(np.sum(w * normalize_inverse_depth(values)))
 
     numeric = (at(d + h * direction) - at(d - h * direction)) / (2.0 * h)
     return _rel_err(analytic, numeric)
@@ -352,8 +351,7 @@ def build_parser():
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("train-demo", help="run a triplet training demo")
-    p.add_argument("--mode", required=True,
-                   choices=("fixed-pose-gt", "pose-param", "ddvo", "ddvo-hybrid", "dvo-em"))
+    p.add_argument("--mode", required=True, choices=TRAIN_MODES)
     p.add_argument("--normalize", choices=("on", "off"), default="on")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="trace CSV path")

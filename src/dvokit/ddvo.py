@@ -114,7 +114,6 @@ class DdvoTape:
     levels: tuple
     R_final: np.ndarray
     t_final: np.ndarray
-    finest_shape: tuple
 
     def __len__(self):
         return sum(len(lv.iters) for lv in self.levels)
@@ -150,7 +149,6 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         levels=tuple(level_records),
         R_final=R,
         t_final=t,
-        finest_shape=(ref_depth.height, ref_depth.width),
     )
     return Pose6D(t, so3_log(R)), tape
 
@@ -179,12 +177,12 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
     g_t = g[:3].copy()
     g_R = 0.5 * tape.R_final @ skew(so3_right_jacobian_inv(omega).T @ g[3:])
 
-    grad_depth = np.zeros(tape.finest_shape)
+    level_grads = []  # finest first
     through_j = tape.settings.grad_through_jacobian
     default_lam = tape.settings.damping is None
 
     # Levels were executed coarsest -> finest and stored in that order.
-    for level_index, level in reversed(list(enumerate(tape.levels))):
+    for level in reversed(tape.levels):
         # Only the translational columns of J carry depth, as d * A.T.
         J, X, A = level.system.J, level.system.X, level.system.A
         g_d_level = np.zeros(X.shape[1])
@@ -220,15 +218,11 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
         if through_j and default_lam:
             # lambda = c * sum(J*J) / 6, and J[:, :3] = d * A.T.
             g_d_level += g_lam * (DAMPING_COEFF / 3.0) * X[3] * np.sum(A * A, axis=0)
-        g_d_level = g_d_level.reshape(level.src_gray.shape)
+        level_grads.append(g_d_level.reshape(level.src_gray.shape))
 
-        # Lift the level gradient back to the finest grid through the
-        # area-average pyramid.  The tape stores levels coarsest-first, so
-        # the pyramid depth of this record is the reverse of its position.
-        pyr_level = tape.settings.levels - 1 - level_index
-        grad_depth += pyramid_grad_arr(g_d_level, pyr_level, tape.finest_shape)
-
-    return grad_depth
+    # Lift the level gradients to the finest grid through the area-average
+    # pyramid.
+    return pyramid_grad_arr(level_grads)
 
 
 def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:

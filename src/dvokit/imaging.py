@@ -3,9 +3,11 @@
 Images are stored as float64 arrays of shape ``(height, width, channels)``
 with photometric values in [0, 1]; inverse-depth rasters are unconstrained
 non-negative single-channel buffers.  The operations below work on bare
-(H, W) arrays (the solvers take ``ImageBuffer.gray()`` and
-``InverseDepthMap.values``); the pyramid and its adjoint are one pair,
-``pyramid_arr`` and ``pyramid_grad_arr``.
+(H, W) arrays (the solvers and the losses take ``ImageBuffer.gray()``
+and ``InverseDepthMap.values``); the pyramid and its adjoint are one
+pair, ``pyramid_arr`` and ``pyramid_grad_arr``.  The adjoint takes one
+gradient per level and lifts their sum to the finest grid in a single
+coarse-to-fine pass, so a caller gathers its gradients per level first.
 """
 
 from __future__ import annotations
@@ -178,15 +180,14 @@ def pyramid_arr(plane, levels):
     return out
 
 
-def pyramid_grad_arr(grad, level, fine_shape):
-    """Adjoint of ``pyramid_arr``: lift a gradient on ``level`` to the finest grid.
+def pyramid_grad_arr(grads):
+    """Adjoint of ``pyramid_arr``: sum per-level gradients onto the finest grid.
 
-    ``fine_shape`` is the (H, W) of level 0; the gradient goes back through
-    each 2x2 average that built ``level``, coarsest first.
+    ``grads`` holds one gradient per level, finest first.  The running sum
+    goes back through each 2x2 average coarse-to-fine and picks up each
+    finer level's own gradient on the way.
     """
-    shapes = [fine_shape]
-    for _ in range(level - 1):
-        shapes.append((shapes[-1][0] // 2, shapes[-1][1] // 2))
-    for target in reversed(shapes[:level]):
-        grad = upsample2_grad_arr(grad, target)
-    return grad
+    acc = grads[-1]
+    for g in reversed(grads[:-1]):
+        acc = g + upsample2_grad_arr(acc, g.shape)
+    return acc

@@ -8,6 +8,14 @@ two coarsest scales only.  Every term returns exact gradients with
 respect to the finest inverse-depth rasters and, where meaningful, the
 two relative poses; training never needs numeric differentiation.
 
+The terms work on bare (H, W) arrays and on poses in matrix form
+``(R, t)``, like the solvers; the validated types appear only at the
+``Triplet`` boundary.  ``triplet_loss`` exponentiates each pose once,
+gathers the pose gradient of every comparison on ``(R, t)`` (the two
+comparisons that use an inverse pose are pulled back in matrix form)
+and converts it to ``(t, omega)`` once per pose.  Depth gradients are
+gathered per pyramid level and lifted to the finest grid once per frame.
+
 A structural property worth naming: the appearance terms are invariant
 under the joint rescaling (D, t) -> (s*D, t/s) because the warp only
 ever sees the product d*t, while the smoothness prior is positively
@@ -23,15 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall
-from .geometry import CameraIntrinsics, Pose6D, skew, so3_exp, so3_exp_vjp, so3_right_jacobian
-from .imaging import (
-    ImageBuffer,
-    InverseDepthMap,
-    laplacian_arr,
-    pyramid_arr,
-    pyramid_grad_arr,
-)
+from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
+from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp
+from .imaging import laplacian_arr, pyramid_arr, pyramid_grad_arr
 # perfbench traces the samplers under this module's name; the loss
 # reaches them through the warp module.
 from .imaging import bilinear_grad_many, bilinear_many  # noqa: F401
@@ -102,16 +104,17 @@ class LossBreakdown:
     grad_p23: np.ndarray
 
 
-def normalize_inverse_depth(d: InverseDepthMap) -> InverseDepthMap:
-    """Divide an inverse-depth map by its mean (output mean is exactly 1)."""
-    mean = float(np.mean(d.values))
+def normalize_inverse_depth(values):
+    """Divide an inverse-depth raster by its mean (output mean is exactly 1)."""
+    values = np.asarray(values, dtype=float)
+    mean = float(np.mean(values))
     if mean <= 1e-12:
         raise DegenerateDepth(f"mean inverse depth {mean!r} has collapsed")
-    return InverseDepthMap.from_array(d.values / mean)
+    return values / mean
 
 
 def normalize_inverse_depth_vjp(values, grad_out):
-    """Backward of ``normalize_inverse_depth`` on raw arrays.
+    """Backward of ``normalize_inverse_depth``.
 
     With S the sum over N pixels, eta_i = N d_i / S, so
     d eta_i / d d_j = N/S (delta_ij - d_i / S).
@@ -138,18 +141,16 @@ def _box3_adjoint(g, shape):
     return out / 9.0
 
 
-def ssim(a: ImageBuffer, b: ImageBuffer, weights: LossWeights = LossWeights()):
-    """Per-pixel SSIM map over 3x3 box statistics; shape (H-2, W-2)."""
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError("SSIM inputs must share a grid")
-    if a.height < 3 or a.width < 3:
+def ssim(a, b, weights: LossWeights = LossWeights()):
+    """Per-pixel SSIM map of two (H, W) arrays over 3x3 box statistics.
+
+    Returns ``(map, backward)``: the map has shape (H-2, W-2), and
+    ``backward`` maps d loss/d SSIM to d loss/d b (``a`` is held fixed).
+    """
+    if a.shape != b.shape:
+        raise ShapeMismatch("SSIM inputs must share a grid")
+    if a.shape[0] < 3 or a.shape[1] < 3:
         raise GridTooSmall("SSIM needs at least a 3x3 grid")
-    s, _ = _ssim_with_grad(a.gray(), b.gray(), weights)
-    return s
-
-
-def _ssim_with_grad(a, b, weights: LossWeights):
-    """SSIM map plus a closure mapping d loss/d SSIM to d loss/d b."""
     c1, c2 = weights.ssim_c1, weights.ssim_c2
     mu_a = _box3(a)
     mu_b = _box3(b)
@@ -187,41 +188,25 @@ def _ssim_with_grad(a, b, weights: LossWeights):
     return s, backward
 
 
-def _warp_with_grads(src_gray, d, pose: Pose6D, k: CameraIntrinsics):
-    """Warp the reference grid into the source and sample it.
+def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
+                    scale_index: int, weights: LossWeights = LossWeights()):
+    """Photometric dissimilarity between ``ref_gray`` and the warped ``src_gray``.
 
-    Returns ``(warped, mask, backward)`` where ``backward`` maps a
-    per-pixel gradient on the warped intensities to gradients on the
-    inverse depth and the 6-vector pose (t, omega).
-    """
-    h, w = d.shape
-    X = points(k, d)
-    R = so3_exp(pose.omega)
-    warped, mask, lin = warp_and_sample(src_gray, X, R, pose.t, k, grad=True)
-
-    def backward(g_warped):
-        g_d, g_t, g_R = warp_vjp(X, pose.t, lin, g_warped.ravel())
-        g_omega = so3_exp_vjp(pose.omega, R, g_R)
-        return g_d.reshape(h, w), np.concatenate([g_t, g_omega])
-
-    return warped.reshape(h, w), mask.reshape(h, w), backward
-
-
-def appearance_loss(ref: ImageBuffer, src: ImageBuffer, d_ref: InverseDepthMap,
-                    pose: Pose6D, k: CameraIntrinsics, scale_index: int,
-                    weights: LossWeights = LossWeights()):
-    """Photometric dissimilarity between ``ref`` and the warped ``src``.
-
-    Plain L1 for ``scale_index`` 1..3; the finest scale (0) blends
-    ``alpha * (1 - SSIM)/2`` with ``(1 - alpha) * L1`` over the interior
-    window grid.  Returns ``(loss, grad_depth, grad_pose)``.
+    ``depth`` is the reference inverse depth and ``(R, t)`` maps reference
+    points into the source.  Plain L1 for ``scale_index`` 1..3; the finest
+    scale (0) blends ``alpha * (1 - SSIM)/2`` with ``(1 - alpha) * L1``
+    over the interior window grid.  Returns ``(loss, g_depth, g_t, g_R)``
+    with ``g_R`` the ambient 3x3 gradient on ``R`` (see ``warp.warp_vjp``).
     """
     if scale_index not in range(NUM_SCALES):
         raise ValueError(f"scale_index must be in 0..{NUM_SCALES - 1}")
-    ref_gray = ref.gray()
-    if (ref.height, ref.width) != (d_ref.height, d_ref.width):
-        raise ValueError("reference image and depth grids differ")
-    warped, mask, backward = _warp_with_grads(src.gray(), d_ref.values, pose, k)
+    if ref_gray.shape != depth.shape:
+        raise ShapeMismatch("reference image and depth grids differ")
+    h, w = depth.shape
+    X = points(k, depth)
+    warped, mask, lin = warp_and_sample(src_gray, X, R, t, k, grad=True)
+    warped = warped.reshape(h, w)
+    mask = mask.reshape(h, w)
     if float(mask.mean()) < MIN_VALID_FRACTION:
         raise DegenerateOverlap(f"only {mask.mean():.1%} of pixels warp in view")
 
@@ -230,52 +215,45 @@ def appearance_loss(ref: ImageBuffer, src: ImageBuffer, d_ref: InverseDepthMap,
         diff = (ref_gray - warped) * mask
         loss = float(np.sum(np.abs(diff))) / count
         g_warped = -np.sign(diff) / count
-        g_d, g_pose = backward(g_warped)
-        return loss, g_d, g_pose
+    else:
+        alpha = weights.ssim_weight
+        # Out-of-view samples are replaced by the reference value so SSIM
+        # windows stay well-defined; those pixels contribute nothing to L1
+        # and are excluded from the mean below.
+        filled = np.where(mask, warped, ref_gray)
+        s_map, ssim_back = ssim(ref_gray, filled, weights)
+        interior_mask = mask[1:-1, 1:-1]
+        count = float(np.sum(interior_mask))
+        if count == 0.0:
+            raise DegenerateOverlap("no interior pixels warp in view")
+        diff = (ref_gray - filled)[1:-1, 1:-1] * interior_mask
+        per_pixel = alpha * 0.5 * (1.0 - s_map) + (1.0 - alpha) * np.abs(diff)
+        loss = float(np.sum(per_pixel * interior_mask)) / count
 
-    if ref.height < 3 or ref.width < 3:
-        raise GridTooSmall("the SSIM scale needs at least a 3x3 grid")
-    alpha = weights.ssim_weight
-    # Out-of-view samples are replaced by the reference value so SSIM
-    # windows stay well-defined; those pixels contribute nothing to L1
-    # and are excluded from the mean below.
-    filled = np.where(mask, warped, ref_gray)
-    s_map, ssim_back = _ssim_with_grad(ref_gray, filled, weights)
-    interior_mask = mask[1:-1, 1:-1]
-    count = float(np.sum(interior_mask))
-    if count == 0.0:
-        raise DegenerateOverlap("no interior pixels warp in view")
-    diff = (ref_gray - filled)[1:-1, 1:-1] * interior_mask
-    per_pixel = alpha * 0.5 * (1.0 - s_map) + (1.0 - alpha) * np.abs(diff)
-    loss = float(np.sum(per_pixel * interior_mask)) / count
-
-    g_s = (-alpha * 0.5) * interior_mask / count
-    g_filled = ssim_back(g_s)
-    g_l1 = np.zeros_like(ref_gray)
-    g_l1[1:-1, 1:-1] = -(1.0 - alpha) * np.sign(diff) / count
-    g_d, g_pose = backward(g_filled + g_l1)
-    return loss, g_d, g_pose
+        g_warped = ssim_back((-alpha * 0.5) * interior_mask / count)
+        g_warped[1:-1, 1:-1] += -(1.0 - alpha) * np.sign(diff) / count
+    g_d, g_t, g_R = warp_vjp(X, t, lin, g_warped.ravel())
+    return loss, g_d.reshape(h, w), g_t, g_R
 
 
-def smoothness_prior(d: InverseDepthMap, img: ImageBuffer):
-    """Edge-aware second-order smoothness of an inverse-depth map.
+def smoothness_prior(depth, gray):
+    """Edge-aware second-order smoothness of an (H, W) inverse-depth raster.
 
-    Mean over interior pixels of exp(-|Laplacian(I)|) times the summed
+    Mean over interior pixels of exp(-|Laplacian(gray)|) times the summed
     absolute second differences of the depth; returns ``(loss, grad)``.
     """
-    if d.height < 3 or d.width < 3:
+    if depth.shape[0] < 3 or depth.shape[1] < 3:
         raise GridTooSmall("smoothness needs at least a 3x3 grid")
-    if (d.height, d.width) != (img.height, img.width):
-        raise ValueError("depth and image grids differ")
-    vals = d.values
-    weight = np.exp(-laplacian_arr(img.gray()))[1:-1, 1:-1]
-    dxx = vals[1:-1, :-2] - 2.0 * vals[1:-1, 1:-1] + vals[1:-1, 2:]
-    dyy = vals[:-2, 1:-1] - 2.0 * vals[1:-1, 1:-1] + vals[2:, 1:-1]
-    dxy = (vals[2:, 2:] - vals[:-2, 2:] - vals[2:, :-2] + vals[:-2, :-2]) / 4.0
+    if depth.shape != gray.shape:
+        raise ShapeMismatch("depth and image grids differ")
+    weight = np.exp(-laplacian_arr(gray))[1:-1, 1:-1]
+    dxx = depth[1:-1, :-2] - 2.0 * depth[1:-1, 1:-1] + depth[1:-1, 2:]
+    dyy = depth[:-2, 1:-1] - 2.0 * depth[1:-1, 1:-1] + depth[2:, 1:-1]
+    dxy = (depth[2:, 2:] - depth[:-2, 2:] - depth[2:, :-2] + depth[:-2, :-2]) / 4.0
     count = float(dxx.size)
     loss = float(np.sum(weight * (np.abs(dxx) + np.abs(dxy) + np.abs(dyy)))) / count
 
-    grad = np.zeros_like(vals)
+    grad = np.zeros_like(depth)
     gxx = weight * np.sign(dxx) / count
     grad[1:-1, :-2] += gxx
     grad[1:-1, 1:-1] += -2.0 * gxx
@@ -292,22 +270,6 @@ def smoothness_prior(d: InverseDepthMap, img: ImageBuffer):
     return loss, grad
 
 
-def _inverse_pose_vjp(pose: Pose6D, g_inv):
-    """Pull a gradient on ``pose.inverse()`` back to ``pose`` itself.
-
-    The inverse is ``(-R^T t, -omega)``; the translation part couples to
-    omega through R.
-    """
-    g_inv = np.asarray(g_inv, dtype=float)
-    R = so3_exp(pose.omega)
-    jr = so3_right_jacobian(pose.omega)
-    g = np.zeros(6)
-    g[:3] = -R @ g_inv[:3]
-    # d(-R^T t) under dR = R [Jr dw]x is [R^T t]x Jr dw.
-    g[3:] = jr.T @ (skew(R.T @ pose.t) @ g_inv[:3]) - g_inv[3:]
-    return g
-
-
 def triplet_loss(t: Triplet, k: CameraIntrinsics,
                  weights: LossWeights = LossWeights()) -> LossBreakdown:
     """Full multi-scale objective over a triplet, with all gradients.
@@ -317,44 +279,39 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
     middle frame warped toward each outer one (using the outer depths
     and the exact inverse poses).
     """
-    grays = [img.gray() for img in t.images]
-    img_pyrs = [pyramid_arr(g, NUM_SCALES) for g in grays]
+    img_pyrs = [pyramid_arr(img.gray(), NUM_SCALES) for img in t.images]
     depth_pyrs = [pyramid_arr(d.values, NUM_SCALES) for d in t.inv_depths]
-    fine_shape = depth_pyrs[0][0].shape
+    # Depth gradients per frame and pyramid level, finest first.
+    g_levels = [[np.zeros(lv.shape) for lv in pyr] for pyr in depth_pyrs]
 
-    grad_depths = [np.zeros(fine_shape) for _ in range(3)]
-    grad_p21 = np.zeros(6)
-    grad_p23 = np.zeros(6)
+    # Pose slot 0 is p21, slot 1 is p23; gradients are gathered on (R, t).
+    Rs = [so3_exp(t.p21.omega), so3_exp(t.p23.omega)]
+    ts = [t.p21.t, t.p23.t]
+    g_Rs = [np.zeros((3, 3)), np.zeros((3, 3))]
+    g_ts = [np.zeros(3), np.zeros(3)]
+    # (ref frame, src frame, pose slot, inverted?); the depth is the ref frame's.
+    comparisons = ((1, 0, 0, False), (1, 2, 1, False), (0, 1, 0, True), (2, 1, 1, True))
+
     appearance_per_scale = []
-
-    p12 = t.p21.inverse()
-    p32 = t.p23.inverse()
-    # (ref frame, src frame, depth frame, pose, pose slot, inverted?)
-    comparisons = (
-        (1, 0, 1, t.p21, 0, False),
-        (1, 2, 1, t.p23, 1, False),
-        (0, 1, 0, p12, 0, True),
-        (2, 1, 2, p32, 1, True),
-    )
-
     for s in range(NUM_SCALES):
         k_s = k.at_level(s)
         scale_total = 0.0
-        for ref_i, src_i, d_i, pose, slot, inverted in comparisons:
-            loss, g_d, g_pose = appearance_loss(
-                ImageBuffer(img_pyrs[ref_i][s]),
-                ImageBuffer(img_pyrs[src_i][s]),
-                InverseDepthMap.from_array(depth_pyrs[d_i][s]),
-                pose, k_s, s, weights,
+        for ref_i, src_i, slot, inverted in comparisons:
+            R, tr = Rs[slot], ts[slot]
+            if inverted:
+                R, tr = R.T, -R.T @ tr
+            loss, g_d, g_t, g_R = appearance_loss(
+                img_pyrs[ref_i][s], img_pyrs[src_i][s], depth_pyrs[ref_i][s],
+                R, tr, k_s, s, weights,
             )
             scale_total += loss
-            grad_depths[d_i] += pyramid_grad_arr(g_d, s, fine_shape)
+            g_levels[ref_i][s] += g_d
             if inverted:
-                g_pose = _inverse_pose_vjp(t.p21 if slot == 0 else t.p23, g_pose)
-            if slot == 0:
-                grad_p21 += g_pose
-            else:
-                grad_p23 += g_pose
+                # The comparison saw (R^T, -R^T t); pull back onto (R, t).
+                g_R = g_R.T - np.outer(ts[slot], g_t)
+                g_t = -Rs[slot] @ g_t
+            g_Rs[slot] += g_R
+            g_ts[slot] += g_t
         appearance_per_scale.append(scale_total)
 
     prior_per_scale = []
@@ -362,20 +319,21 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
     for s in PRIOR_SCALES:
         scale_prior = 0.0
         for i in range(3):
-            loss, g_d = smoothness_prior(
-                InverseDepthMap.from_array(depth_pyrs[i][s]),
-                ImageBuffer(img_pyrs[i][s]),
-            )
+            loss, g_d = smoothness_prior(depth_pyrs[i][s], img_pyrs[i][s])
             scale_prior += loss
-            grad_depths[i] += lam * pyramid_grad_arr(g_d, s, fine_shape)
+            g_levels[i][s] += lam * g_d
         prior_per_scale.append(scale_prior)
 
+    grad_p21, grad_p23 = (
+        np.concatenate([g_t, so3_exp_vjp(p.omega, R, g_R)])
+        for p, R, g_t, g_R in zip((t.p21, t.p23), Rs, g_ts, g_Rs)
+    )
     total = float(sum(appearance_per_scale) + lam * sum(prior_per_scale))
     return LossBreakdown(
         appearance_per_scale=tuple(appearance_per_scale),
         prior_per_scale=tuple(prior_per_scale),
         total=total,
-        grad_depths=tuple(grad_depths),
+        grad_depths=tuple(pyramid_grad_arr(g) for g in g_levels),
         grad_p21=grad_p21,
         grad_p23=grad_p23,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDepth, LengthMismatch, NoValidPixels
+from .errors import DegenerateDepth, LengthMismatch, NoValidPixels, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class Trajectory:
 
     def __post_init__(self):
         if len(self.poses) < 2:
-            raise ValueError("a trajectory needs at least two poses")
+            raise LengthMismatch(
+                f"a trajectory needs at least two poses, got {len(self.poses)}"
+            )
 
     def positions(self):
         """(N, 3) camera centers."""
@@ -82,7 +84,7 @@ def depth_metrics(pred, gt, validity=None, align=True,
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
-        raise ValueError("prediction and ground-truth grids differ")
+        raise ShapeMismatch(f"prediction grid {pred.shape} and ground truth {gt.shape} differ")
     if validity is None:
         validity = gt > 0.0
     else:

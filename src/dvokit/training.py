@@ -222,13 +222,12 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
         for step in range(cfg.steps):
             param = DepthParam(logits)
             raw = param.decode()
-            if cfg.normalize_depth:
-                loss_depths = [
-                    normalize_inverse_depth(InverseDepthMap.from_array(raw[i]))
-                    for i in range(3)
-                ]
-            else:
-                loss_depths = [InverseDepthMap.from_array(raw[i]) for i in range(3)]
+            loss_depths = [
+                InverseDepthMap.from_array(
+                    normalize_inverse_depth(d) if cfg.normalize_depth else d
+                )
+                for d in raw
+            ]
             last_depths = tuple(d.values for d in loss_depths)
 
             pose_from_params = (

@@ -226,6 +226,13 @@ class TestEval:
         )
         assert main(["eval", str(p), str(g)]) == 2
 
+    def test_size_mismatch_exit_1(self, tmp_path, capsys):
+        p, g = self.make_pfms(tmp_path, np.ones((4, 4)), np.ones((4, 5)))
+        assert main(["eval", str(p), str(g)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid" in captured.err
+
 
 class TestEvalAte:
     def test_identical_trajectories(self, tmp_path, capsys):
@@ -249,6 +256,16 @@ class TestEvalAte:
         fileio.write_trajectory(a, mats)
         fileio.write_trajectory(b, mats[:-1])
         assert main(["eval-ate", str(a), str(b)]) == 2
+
+    def test_single_pose_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        fileio.write_trajectory(a, [np.eye(4)])
+        fileio.write_trajectory(b, [np.eye(4)])
+        assert main(["eval-ate", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "two poses" in captured.err
 
 
 # Round-trip recovery of a 1%-depth motion needs a reasonably wide field

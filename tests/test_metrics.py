@@ -157,7 +157,7 @@ class TestAte:
             ate(straight_line(3), straight_line(3))
 
     def test_trajectory_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch):
             Trajectory((Pose6D.identity(),))
 
 
