@@ -26,6 +26,7 @@ from .errors import (
     DvokitError,
     FileFormatError,
     GridTooSmall,
+    InvalidRaster,
     LengthMismatch,
     NoValidPixels,
     ShapeMismatch,
@@ -82,6 +83,7 @@ __all__ = [
     "FileFormatError",
     "GradcheckSettings",
     "GridTooSmall",
+    "InvalidRaster",
     "ImageBuffer",
     "InverseDepthMap",
     "LengthMismatch",

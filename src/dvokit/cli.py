@@ -7,9 +7,9 @@ score depth maps and trajectories, and ``synth`` generates fixture
 scenes.  Numeric settings come from a ``section.key = value`` config
 file; flags carry only modes and paths.
 
-Exit codes: 0 success, 1 I/O, configuration or grid-mismatch errors,
-2 degenerate or diverged numeric runs and unusable trajectory lengths,
-3 failed gradient checks.
+Exit codes: 0 success, 1 I/O, configuration, grid-mismatch or
+invalid-raster errors, 2 degenerate or diverged numeric runs and unusable
+trajectory lengths, 3 failed gradient checks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import bundled, fileio, synth
 from .config import RunConfig, load_config
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from .dvo import solve_coarse_to_fine
-from .errors import ConfigError, DvokitError, FileFormatError, ShapeMismatch
+from .errors import ConfigError, DvokitError, FileFormatError, InvalidRaster, ShapeMismatch
 from .geometry import Pose6D
 from .imaging import InverseDepthMap
 from .losses import (
@@ -54,6 +54,7 @@ def cmd_odometry(args) -> int:
     print(
         f"residual {result.final_residual:.17g} "
         f"iterations {'/'.join(str(i) for i in result.iterations_used)} "
+        f"stops {'/'.join(result.stop_reasons)} "
         f"valid_fraction {result.valid_fraction:.6f}"
     )
     if args.trajectory is not None:
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileFormatError, ConfigError, ShapeMismatch, OSError) as exc:
+    except (FileFormatError, ConfigError, ShapeMismatch, InvalidRaster, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DvokitError as exc:

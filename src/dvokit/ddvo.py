@@ -41,6 +41,7 @@ from .dvo import (
     LevelSystem,
     check_grids,
     gauss_newton_step,
+    in_view_weights,
     level_system,
     update_pose,
 )
@@ -138,7 +139,7 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         iters = []
         for _ in range(settings.unroll_iters):
             sampled, mask = warp_and_sample(src_gray, system.X, R, t, k_lv)
-            delta, _, H = gauss_newton_step(system, sampled, mask)
+            delta, H = gauss_newton_step(system, sampled, in_view_weights(mask))
             R_next, t_next, Rd = update_pose(delta, R, t)
             iters.append(_IterRecord(R, t, H, delta, Rd))
             R, t = R_next, t_next
@@ -242,7 +243,7 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
         X[3] = depth_pyr[settings.levels - 1 - i].ravel()
         for _ in range(settings.unroll_iters):
             sampled, mask = warp_and_sample(level.src_gray, X, R, t, level.k)
-            delta, _, _ = gauss_newton_step(level.system, sampled, mask)
+            delta, _ = gauss_newton_step(level.system, sampled, in_view_weights(mask))
             R, t, _ = update_pose(delta, R, t)
     return Pose6D(t, so3_log(R))
 

@@ -16,6 +16,21 @@ unrolled solver in ``ddvo`` and its frozen-Jacobian replay share:
   ``(R, t)`` within a level.
 
 Each caller warps the source itself and hands the samples to the step.
+
+DVO stops each level at the first of three rules, which ``DvoResult``
+names per level, coarse to fine:
+
+* ``converged``: the step just taken was shorter than ``step_norm_tol``;
+* ``stalled``: the mean squared residual at the current pose is less than
+  ``residual_rel_tol`` (relative) below the previous iteration's, the
+  relative-decrease test of DVO (Kerl, Sturm & Cremers 2013) and DSO
+  (Engel, Koltun & Cremers 2018).  The level returns the current pose
+  without solving for another step.  At the coarse levels the in-view
+  border moves with the pose, so the residual can cycle and never meet
+  the step rule;
+* ``max_iters``: the level took ``max_iters_per_level`` steps.
+
+DDVO has no stop rule: it unrolls a fixed number of steps.
 """
 
 from __future__ import annotations
@@ -31,10 +46,7 @@ from .imaging import ImageBuffer, InverseDepthMap, gradient_arr, pyramid_arr
 # perfbench traces the sampler under this module's name; the solver
 # reaches it through the warp module.
 from .imaging import bilinear_many  # noqa: F401
-from .warp import points, warp_and_sample
-
-# Below this in-view fraction the level is considered degenerate.
-MIN_VALID_FRACTION = 0.25
+from .warp import MIN_VALID_FRACTION, points, warp_and_sample
 
 # Condition-number ceiling for the damped normal equations.
 MAX_CONDITION = 1e12
@@ -50,6 +62,7 @@ class DvoSettings:
     levels: int = 4
     max_iters_per_level: int = 20
     step_norm_tol: float = 1e-8
+    residual_rel_tol: float = 1e-4  # 0 turns the stall rule off
     damping: float | None = None  # None = 1e-6 * trace(J^T J) / 6 per level
 
     def __post_init__(self):
@@ -57,6 +70,8 @@ class DvoSettings:
             raise ValueError("levels and max_iters_per_level must be >= 1")
         if self.step_norm_tol <= 0.0:
             raise ValueError("step_norm_tol must be positive")
+        if not self.residual_rel_tol >= 0.0:
+            raise ValueError("residual_rel_tol must be non-negative")
         if self.damping is not None and self.damping < 0.0:
             raise ValueError("damping must be non-negative")
 
@@ -68,6 +83,7 @@ class DvoResult:
     iterations_used: tuple
     valid_fraction: float
     residual_history: tuple = ()
+    stop_reasons: tuple = ()  # per level: "converged", "stalled" or "max_iters"
 
     def __post_init__(self):
         if self.final_residual < 0.0:
@@ -144,25 +160,31 @@ def level_system(ref_gray, depth, k: CameraIntrinsics, damping) -> LevelSystem:
     return LevelSystem(X, J, A, damp, ref_gray.ravel())
 
 
-def gauss_newton_step(system: LevelSystem, sampled, mask):
-    """One damped Gauss-Newton step from the warped source samples.
-
-    ``sampled`` and ``mask`` are what ``warp.warp_and_sample`` returns at
-    the current pose.  Returns ``(delta, wvec, H)``: the step
-    ``delta = (J^T W J + lambda I)^-1 J^T W r`` on ``(t, omega)``, the
-    in-view weights ``W = diag(wvec)`` and the damped normal matrix ``H``.
-    """
+def in_view_weights(mask):
+    """The in-view mask as 0/1 weights; DegenerateOverlap below ``MIN_VALID_FRACTION``."""
     wvec = mask.astype(float)
     valid_fraction = wvec.mean()
     if valid_fraction < MIN_VALID_FRACTION:
         raise DegenerateOverlap(f"only {valid_fraction:.1%} of pixels remained in view")
+    return wvec
+
+
+def gauss_newton_step(system: LevelSystem, sampled, wvec):
+    """One damped Gauss-Newton step from the warped source samples.
+
+    ``sampled`` is what ``warp.warp_and_sample`` returns at the current
+    pose, and ``wvec`` the ``in_view_weights`` of its mask.  Returns
+    ``(delta, H)``: the step ``delta = (J^T W J + lambda I)^-1 J^T W r``
+    on ``(t, omega)``, with ``W = diag(wvec)``, and the damped normal
+    matrix ``H``.
+    """
     J = system.J
     Jw = J * wvec[:, None]
     H = J.T @ Jw + system.damp
     if not _well_conditioned(H):
         raise SingularSystem("weighted normal equations became singular")
     delta = np.linalg.solve(H, Jw.T @ system.ref_flat - Jw.T @ sampled)
-    return delta, wvec, H
+    return delta, H
 
 
 def update_pose(delta, R, t):
@@ -193,27 +215,41 @@ def _mean_sq(ref_flat, sampled, wvec):
 
 def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
                        settings: DvoSettings):
-    """Single-level Gauss-Newton solve on bare arrays."""
+    """Single-level Gauss-Newton solve on bare arrays.
+
+    ``residual_history`` holds the mean squared residual before each step
+    taken and, last, at the returned pose; ``stop_reasons`` names the rule
+    that ended the level (see the module docstring).
+    """
     system = level_system(ref_gray, depth, k, settings.damping)
     R, t = so3_exp(init.omega), init.t
+    tol = settings.residual_rel_tol
     residuals = []
     for _ in range(settings.max_iters_per_level):
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        delta, wvec, _ = gauss_newton_step(system, sampled, mask)
+        wvec = in_view_weights(mask)
         valid_fraction = float(wvec.mean())
         mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
+        if tol > 0.0 and residuals and residuals[-1] - mean_sq < tol * residuals[-1]:
+            reason = "stalled"
+            break
         residuals.append(mean_sq)
+        delta, _ = gauss_newton_step(system, sampled, wvec)
         R, t, _ = update_pose(delta, R, t)
         if np.linalg.norm(delta) < settings.step_norm_tol:
+            reason = "converged"
             break
+    else:
+        reason = "max_iters"
 
-    # Residual and validity at the returned pose.
     iters = len(residuals)
-    sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-    wvec = mask.astype(float)
-    if wvec.sum() > 0:
-        mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
-        valid_fraction = float(wvec.mean())
+    if reason != "stalled":
+        # Residual and validity at the returned pose.
+        sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
+        wvec = mask.astype(float)
+        if wvec.sum() > 0:
+            mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
+            valid_fraction = float(wvec.mean())
     residuals.append(mean_sq)
     return DvoResult(
         pose=Pose6D(t, so3_log(R)),
@@ -221,6 +257,7 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
         iterations_used=(iters,),
         valid_fraction=valid_fraction,
         residual_history=tuple(residuals),
+        stop_reasons=(reason,),
     )
 
 
@@ -235,6 +272,7 @@ def solve_coarse_to_fine(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
     pose = init
     iters = []
     history = []
+    reasons = []
     result = None
     for level in reversed(range(settings.levels)):
         result = solve_level_arrays(
@@ -244,10 +282,12 @@ def solve_coarse_to_fine(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
         pose = result.pose
         iters.append(result.iterations_used[0])
         history.extend(result.residual_history)
+        reasons.extend(result.stop_reasons)
     return DvoResult(
         pose=pose,
         final_residual=result.final_residual,
         iterations_used=tuple(iters),
         valid_fraction=result.valid_fraction,
         residual_history=tuple(history),
+        stop_reasons=tuple(reasons),
     )

@@ -38,6 +38,11 @@ class ShapeMismatch(DvokitError):
     """Arrays that must share a shape do not."""
 
 
+class InvalidRaster(DvokitError, ValueError):
+    """A raster has the wrong rank or channel count, a non-finite value,
+    or (for inverse depth) a negative value."""
+
+
 class DivergenceDetected(DvokitError):
     """A training run produced a non-finite loss."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridTooSmall, InvalidRaster
 
 # Fixed grayscale weights; 8-bit sources are divided by 255 on load.
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -33,9 +33,9 @@ class ImageBuffer:
         if data.ndim == 2:
             data = data[:, :, None]
         if data.ndim != 3:
-            raise ValueError(f"expected 2D or 3D raster, got shape {data.shape}")
+            raise InvalidRaster(f"expected 2D or 3D raster, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
-            raise ValueError("raster contains non-finite values")
+            raise InvalidRaster("raster contains non-finite values")
         data = np.ascontiguousarray(data)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -69,9 +69,9 @@ class InverseDepthMap:
 
     def __post_init__(self):
         if self.image.channels != 1:
-            raise ValueError("inverse depth must be single-channel")
+            raise InvalidRaster("inverse depth must be single-channel")
         if np.any(self.image.data < 0.0):
-            raise ValueError("inverse depth must be non-negative")
+            raise InvalidRaster("inverse depth must be non-negative")
 
     @staticmethod
     def from_array(values):

@@ -37,16 +37,13 @@ from .imaging import laplacian_arr, pyramid_arr, pyramid_grad_arr
 # perfbench traces the samplers under this module's name; the loss
 # reaches them through the warp module.
 from .imaging import bilinear_grad_many, bilinear_many  # noqa: F401
-from .warp import points, warp_and_sample, warp_vjp
+from .warp import MIN_VALID_FRACTION, points, warp_and_sample, warp_vjp
 
 # Number of pyramid scales in the aggregate objective.
 NUM_SCALES = 4
 
 # Smoothness is collected from these (coarsest) scales only.
 PRIOR_SCALES = (2, 3)
-
-# Minimum fraction of reference pixels that must warp into the source.
-MIN_VALID_FRACTION = 0.25
 
 
 @dataclass(frozen=True)

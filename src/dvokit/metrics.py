@@ -78,8 +78,12 @@ def depth_metrics(pred, gt, validity=None, align=True,
                   max_depth_cap=None) -> DepthMetrics:
     """Error statistics of a predicted depth map against ground truth.
 
-    ``align=True`` removes the global scale by the median ratio first;
-    ``max_depth_cap`` drops ground-truth pixels beyond the cap.
+    A pixel is scored where ``validity`` holds and the ground truth is
+    positive (and below ``max_depth_cap``, if given).  Every scored
+    predicted depth must be positive and finite: a non-positive one has
+    no log error and would pass every ratio threshold, so it raises
+    DegenerateDepth rather than being scored or dropped.  ``align=True``
+    removes the global scale by the median ratio first.
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
@@ -93,6 +97,9 @@ def depth_metrics(pred, gt, validity=None, align=True,
         validity = validity & (gt < max_depth_cap)
     if not np.any(validity):
         raise NoValidPixels("no valid pixels to score")
+    scored = pred[validity]
+    if not np.all(np.isfinite(scored) & (scored > 0.0)):
+        raise DegenerateDepth("a scored predicted depth is not positive and finite")
     if align:
         pred = median_align(pred, gt, validity)
     p = pred[validity]

@@ -19,6 +19,10 @@ import numpy as np
 from .geometry import EPSILON_Z, CameraIntrinsics
 from .imaging import bilinear_many
 
+# Below this fraction of points warped in view, a solver level or a loss
+# comparison is degenerate (DegenerateOverlap).
+MIN_VALID_FRACTION = 0.25
+
 
 class WarpLinearization(NamedTuple):
     """What ``warp_vjp`` needs from one warp, one entry per pixel."""

@@ -79,6 +79,30 @@ class TestOdometry:
         assert "reference and source grids differ" in captured.err
 
 
+    @pytest.mark.parametrize("value, message", [(-1.0, "non-negative"),
+                                                (np.nan, "non-finite")])
+    def test_invalid_depth_pixel_exit_1(self, pair_files, tmp_path, capsys, value, message):
+        ref, depth, src, _, cfg = pair_files
+        values = fileio.read_pfm(depth).copy()
+        values[5, 7] = value
+        bad = tmp_path / "bad_depth.pfm"
+        fileio.write_pfm(bad, values)
+        code = main(["odometry", str(ref), str(bad), str(src), "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_prints_stop_reasons(self, pair_files, capsys):
+        ref, depth, src, _, cfg = pair_files
+        assert main(["odometry", str(ref), str(depth), str(src), "--config", str(cfg)]) == 0
+        words = capsys.readouterr().out.splitlines()[1].split()
+        assert words[2] == "iterations" and words[4] == "stops"
+        reasons = words[5].split("/")
+        assert len(reasons) == len(words[3].split("/")) == 4
+        assert set(reasons) <= {"converged", "stalled"}
+
+
 GRADCHECK_CFG = (
     "gradcheck.instances = 2\n"
     "gradcheck.width = 16\n"
@@ -225,6 +249,14 @@ class TestEval:
             tmp_path, np.ones((2, 2)), np.full((2, 2), -1.0)
         )
         assert main(["eval", str(p), str(g)]) == 2
+
+    def test_negative_prediction_exit_2(self, tmp_path, capsys):
+        p, g = self.make_pfms(tmp_path, np.array([[-1.0, 1.0, 2.0]]),
+                              np.array([[1.0, 1.0, 2.0]]))
+        assert main(["eval", str(p), str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not positive and finite" in captured.err
 
     def test_size_mismatch_exit_1(self, tmp_path, capsys):
         p, g = self.make_pfms(tmp_path, np.ones((4, 4)), np.ones((4, 5)))

@@ -59,7 +59,8 @@ class TestForward:
         for levels in (1, 3):
             dvo_res = solve_coarse_to_fine(
                 ref, depth, src, k, Pose6D.identity(),
-                DvoSettings(levels=levels, max_iters_per_level=3, step_norm_tol=1e-300),
+                DvoSettings(levels=levels, max_iters_per_level=3, step_norm_tol=1e-300,
+                            residual_rel_tol=0.0),
             )
             pose, _ = ddvo_forward(
                 ref, depth, src, k, DdvoSettings(unroll_iters=3, levels=levels)

@@ -191,6 +191,44 @@ class TestPoseRecoverySuite:
             assert warm.final_residual <= cold.final_residual + 1e-10
 
 
+class TestStopReasons:
+    def test_stalled_level_returns_current_pose(self):
+        # With residual_rel_tol = 1 a level may only continue past its first
+        # step if that step drove the residual to zero, so it stalls at the
+        # second residual: one step taken, and the pose and residual those
+        # of a level capped at one step.
+        ref_img, ref_depth, src_img, _, k = small_motion_pair(0)
+        stalled = solve_level(ref_img, ref_depth, src_img, k, Pose6D.identity(),
+                              DvoSettings(levels=1, residual_rel_tol=1.0))
+        one_step = solve_level(ref_img, ref_depth, src_img, k, Pose6D.identity(),
+                               DvoSettings(levels=1, max_iters_per_level=1))
+        assert stalled.stop_reasons == ("stalled",)
+        assert stalled.iterations_used == (1,)
+        assert stalled.final_residual == stalled.residual_history[-1]
+        assert stalled.residual_history[1] > 0.0
+        assert one_step.stop_reasons == ("max_iters",)
+        assert np.array_equal(stalled.pose.as_vector(), one_step.pose.as_vector())
+        assert stalled.residual_history == one_step.residual_history
+        assert stalled.valid_fraction == one_step.valid_fraction
+
+    def test_default_settings_never_hit_the_cap(self):
+        for seed in range(20):
+            ref_img, ref_depth, src_img, _, k = small_motion_pair(seed)
+            res = solve_coarse_to_fine(ref_img, ref_depth, src_img, k, Pose6D.identity(),
+                                       DvoSettings(levels=4))
+            assert len(res.stop_reasons) == 4
+            assert set(res.stop_reasons) <= {"converged", "stalled"}
+            assert max(res.iterations_used) < DvoSettings().max_iters_per_level
+
+    def test_converged_at_optimum(self):
+        spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=48, height=40)
+        img, depth = make_scene(spec)
+        res = solve_coarse_to_fine(img, depth, img, spec.intrinsics, Pose6D.identity(),
+                                   DvoSettings(levels=2))
+        assert res.stop_reasons == ("converged", "converged")
+        assert res.iterations_used == (1, 1)
+
+
 class TestValidation:
     def test_result_invariants(self):
         with pytest.raises(ValueError):
@@ -205,6 +243,8 @@ class TestValidation:
             DvoSettings(step_norm_tol=0.0)
         with pytest.raises(ValueError):
             DvoSettings(damping=-1.0)
+        with pytest.raises(ValueError):
+            DvoSettings(residual_rel_tol=-1.0)
 
     def test_grid_mismatch(self):
         spec = SceneSpec(kind="textured-plane", texture_seed=0, width=32, height=24)

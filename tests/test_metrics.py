@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dvokit.errors import LengthMismatch, NoValidPixels
+from dvokit.errors import DegenerateDepth, LengthMismatch, NoValidPixels
 from dvokit.geometry import Pose6D, so3_exp
 from dvokit.metrics import (
     DepthMetrics,
@@ -81,6 +81,18 @@ class TestDepthMetrics:
         assert m.abs_rel == 0.0
         with pytest.raises(NoValidPixels):
             depth_metrics(pred, gt, align=False, max_depth_cap=0.5)
+
+    def test_non_positive_or_non_finite_prediction_raises(self):
+        # A negative depth used to pass every ratio threshold (delta1 = 1)
+        # with a NaN rmse_log.
+        with pytest.raises(DegenerateDepth):
+            depth_metrics([[-1, 1, 2]], [[1, 1, 2]], align=False)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(DegenerateDepth):
+                depth_metrics([[bad, 1, 2]], [[1, 1, 2]], align=True)
+        # Pixels without ground truth are not scored, so they may hold anything.
+        m = depth_metrics([[-1, 1, 2]], [[0, 1, 2]], align=False)
+        assert m.abs_rel == 0.0
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

@@ -251,3 +251,20 @@ class TestEmAlternation:
         p21, p23 = trace.final_poses
         assert np.max(np.abs(p21.as_vector())) < 1e-8
         assert np.max(np.abs(p23.as_vector())) < 1e-8
+
+    def test_no_dvo_level_hits_the_cap(self, clip, monkeypatch):
+        images, k, _, gt_d = clip
+        results = []
+        real_solve = training.solve_coarse_to_fine
+
+        def recording(*args, **kwargs):
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(training, "solve_coarse_to_fine", recording)
+        cfg = short_cfg("dvo-em", lr=0.06, normalize_depth=True, dvo=DvoSettings(levels=4))
+        train_triplet(images, k, cfg, gt_inv_depth=gt_d)
+        assert len(results) == 10
+        for res in results:
+            assert len(res.stop_reasons) == 4
+            assert set(res.stop_reasons) <= {"converged", "stalled"}
