@@ -9,6 +9,7 @@ themselves (their ``__post_init__`` checks run at load time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .ddvo import DdvoSettings
@@ -38,7 +39,7 @@ class CameraSettings:
     cy: float = 0.0
 
     def __post_init__(self):
-        if self.fx < 0.0 or self.fy < 0.0:
+        if not (self.fx >= 0.0 and self.fy >= 0.0):
             raise ValueError("focal lengths cannot be negative")
 
     def resolve(self, width, height):
@@ -69,7 +70,7 @@ class GradcheckSettings:
             raise ValueError("gradcheck rasters must be at least 16x16")
         if self.unroll_iters < 1:
             raise ValueError("unroll_iters must be >= 1")
-        if self.solver_tol <= 0.0 or self.loss_tol <= 0.0:
+        if not (self.solver_tol > 0.0 and self.loss_tol > 0.0):
             raise ValueError("tolerances must be positive")
 
 
@@ -138,16 +139,20 @@ def _convert(section, key, raw, current):
         return raw
     if isinstance(current, tuple):
         parts = [p for p in raw.replace(",", " ").split() if p]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"{where}: expected numbers, got {raw!r}")
+        return tuple(_finite_float(where, p) for p in parts)
     # Remaining fields are floats (including optional floats defaulting
     # to None, handled by the "none" branch above).
+    return _finite_float(where, raw)
+
+
+def _finite_float(where, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text) -> RunConfig:

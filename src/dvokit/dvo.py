@@ -68,11 +68,11 @@ class DvoSettings:
     def __post_init__(self):
         if self.levels < 1 or self.max_iters_per_level < 1:
             raise ValueError("levels and max_iters_per_level must be >= 1")
-        if self.step_norm_tol <= 0.0:
+        if not self.step_norm_tol > 0.0:
             raise ValueError("step_norm_tol must be positive")
         if not self.residual_rel_tol >= 0.0:
             raise ValueError("residual_rel_tol must be non-negative")
-        if self.damping is not None and self.damping < 0.0:
+        if self.damping is not None and not self.damping >= 0.0:
             raise ValueError("damping must be non-negative")
 
 

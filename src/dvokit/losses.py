@@ -56,11 +56,11 @@ class LossWeights:
     ssim_c2: float = 0.03 ** 2
 
     def __post_init__(self):
-        if self.lambda_prior < 0.0:
+        if not self.lambda_prior >= 0.0:
             raise ValueError("lambda_prior must be non-negative")
         if not 0.0 <= self.ssim_weight <= 1.0:
             raise ValueError("ssim_weight must lie in [0, 1]")
-        if self.ssim_c1 <= 0.0 or self.ssim_c2 <= 0.0:
+        if not (self.ssim_c1 > 0.0 and self.ssim_c2 > 0.0):
             raise ValueError("SSIM stabilizers must be positive")
 
 

@@ -133,7 +133,7 @@ class TrainConfig:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:
             raise ValueError("lr must be positive")
         if self.pose_warmup_steps < 0:
             raise ValueError("pose_warmup_steps must be non-negative")

@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import fields
+
 import pytest
 
 from dvokit.config import (
@@ -7,7 +11,27 @@ from dvokit.config import (
     load_config,
     parse_config,
 )
+from dvokit.ddvo import DdvoSettings
+from dvokit.dvo import DvoSettings
 from dvokit.errors import ConfigError
+from dvokit.losses import LossWeights
+from dvokit.training import TrainConfig
+
+
+def float_keys():
+    """Every ``section.key`` whose default is a float or an optional float."""
+    defaults = RunConfig()
+    keys = []
+    for section in fields(RunConfig):
+        settings = getattr(defaults, section.name)
+        for f in fields(settings):
+            value = getattr(settings, f.name)
+            if value is None or isinstance(value, float):
+                keys.append(f"{section.name}.{f.name}")
+    return keys
+
+
+FLOAT_KEYS = float_keys()
 
 
 class TestParseConfig:
@@ -84,6 +108,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("scene.kind = cube\n")
 
+    def test_float_keys_cover_every_section_with_floats(self):
+        assert len(FLOAT_KEYS) == 18
+        assert {key.split(".")[0] for key in FLOAT_KEYS} == {
+            "dvo", "ddvo", "weights", "train", "scene", "camera", "gradcheck"
+        }
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(key) + ".*finite"):
+            parse_config(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("raw", ["nan 4", "2 inf"])
+    def test_non_finite_tuple_entry_rejected(self, raw):
+        with pytest.raises(ConfigError, match=r"scene\.depth_range.*finite"):
+            parse_config(f"scene.depth_range = {raw}\n")
+
     def test_scene_intrinsics_follow_configured_size(self):
         cfg = parse_config("scene.width = 64\nscene.height = 48\n")
         k = cfg.scene.intrinsics
@@ -124,3 +165,26 @@ class TestGradcheckSettings:
             GradcheckSettings(width=8)
         with pytest.raises(ValueError):
             GradcheckSettings(solver_tol=0.0)
+
+
+NAN_CHECKED = [
+    (DvoSettings, "step_norm_tol"),
+    (DvoSettings, "damping"),
+    (DdvoSettings, "damping"),
+    (LossWeights, "lambda_prior"),
+    (LossWeights, "ssim_c1"),
+    (LossWeights, "ssim_c2"),
+    (TrainConfig, "lr"),
+    (CameraSettings, "fx"),
+    (CameraSettings, "fy"),
+    (GradcheckSettings, "solver_tol"),
+    (GradcheckSettings, "loss_tol"),
+]
+
+
+@pytest.mark.parametrize(
+    "settings, name", NAN_CHECKED, ids=[f"{c.__name__}.{n}" for c, n in NAN_CHECKED]
+)
+def test_settings_sign_checks_reject_nan(settings, name):
+    with pytest.raises(ValueError):
+        settings(**{name: math.nan})
