@@ -26,7 +26,7 @@ from .config import RunConfig, load_config
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from .dvo import solve_coarse_to_fine
 from .errors import ConfigError, DvokitError, FileFormatError, InvalidRaster, ShapeMismatch
-from .geometry import Pose6D
+from .geometry import Pose6D, so3_exp_vjp
 from .imaging import InverseDepthMap
 from .losses import (
     Triplet,
@@ -90,13 +90,14 @@ def _rel_err(analytic, numeric):
 
 
 def _solver_check(rng, cfg, frozen):
-    """Directional derivative of g . pose(depth) vs central differences."""
+    """Directional derivative of ``g_t . t + <g_R, R>`` of the solver's pose
+    ``(R, t)`` as a function of depth vs central differences."""
     ref_img, ref_depth, src_img, k, settings = _gradcheck_instance(rng, cfg)
-    g = rng.normal(size=6)
+    g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
     direction = rng.normal(size=ref_depth.values.shape)
     direction /= np.linalg.norm(direction)
     _, tape = ddvo_forward(ref_img, ref_depth, src_img, k, settings)
-    grad = ddvo_backward(tape, g)
+    grad = ddvo_backward(tape, (g_t, g_R))
     analytic = float(np.sum(grad * direction))
     h = 1e-6
 
@@ -107,7 +108,8 @@ def _solver_check(rng, cfg, frozen):
             pose, _ = ddvo_forward(
                 ref_img, InverseDepthMap.from_array(values), src_img, k, settings
             )
-        return float(g @ pose.as_vector())
+        R, t = pose.rt()
+        return float(g_t @ t + np.sum(g_R * R))
 
     numeric = (
         forward(ref_depth.values + h * direction)
@@ -142,7 +144,7 @@ def _loss_triplet(rng, cfg):
 
 def _loss_depth_check(rng, cfg):
     images, depths, p21, p23, k = _loss_triplet(rng, cfg)
-    bd = triplet_loss(Triplet(images, depths, p21, p23), k, cfg.weights)
+    bd = triplet_loss(Triplet(images, depths, p21.rt(), p23.rt()), k, cfg.weights)
     direction = rng.normal(size=depths[1].values.shape)
     direction /= np.linalg.norm(direction)
     analytic = float(np.sum(np.asarray(bd.grad_depths[1]) * direction))
@@ -154,7 +156,7 @@ def _loss_depth_check(rng, cfg):
             InverseDepthMap.from_array(values),
             depths[2],
         )
-        return triplet_loss(Triplet(images, moved, p21, p23), k, cfg.weights).total
+        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.weights).total
 
     base = depths[1].values
     numeric = (at(base + h * direction) - at(base - h * direction)) / (2.0 * h)
@@ -163,15 +165,17 @@ def _loss_depth_check(rng, cfg):
 
 def _loss_pose_check(rng, cfg):
     images, depths, p21, p23, k = _loss_triplet(rng, cfg)
-    bd = triplet_loss(Triplet(images, depths, p21, p23), k, cfg.weights)
+    R21, t21 = p21.rt()
+    bd = triplet_loss(Triplet(images, depths, (R21, t21), p23.rt()), k, cfg.weights)
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    analytic = float(np.asarray(bd.grad_p21) @ direction)
+    g_t, g_R = bd.grad_p21
+    analytic = float(np.concatenate([g_t, so3_exp_vjp(p21.omega, R21, g_R)]) @ direction)
     h = 1e-7
 
     def at(vec):
-        moved = Pose6D.from_vector(vec)
-        return triplet_loss(Triplet(images, depths, moved, p23), k, cfg.weights).total
+        moved = Pose6D.from_vector(vec).rt()
+        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.weights).total
 
     v = p21.as_vector()
     numeric = (at(v + h * direction) - at(v - h * direction)) / (2.0 * h)

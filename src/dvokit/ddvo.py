@@ -34,8 +34,9 @@ damping) and each iteration's damped normal matrix H and step rotation,
 so the backward pass rebuilds none of them.
 
 All internal pose state is kept in matrix form (R, t); exponential
-coordinates appear only at the pose update deltas and at the final
-output, where the log map is differentiated through its right Jacobian.
+coordinates appear only at the pose update deltas and at the returned
+``Pose6D``.  The backward pass takes its seed on the final ``(R, t)``
+(``tape.R_final``, ``tape.t_final``), the form the loss returns.
 """
 
 from __future__ import annotations
@@ -57,15 +58,7 @@ from .dvo import (
 # perfbench traces the Jacobian build under this module's name; the solver
 # reaches it through dvo.level_system.
 from .dvo import build_jacobian  # noqa: F401
-from .geometry import (
-    CameraIntrinsics,
-    Pose6D,
-    skew,
-    so3_exp,
-    so3_exp_vjp,
-    so3_log,
-    so3_right_jacobian_inv,
-)
+from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp, so3_log, so3_tangent
 from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, pyramid_grad_arr
 # perfbench traces these under this module's name; the solver reaches the
 # sampler and the image gradient through the warp and dvo modules.
@@ -78,11 +71,10 @@ SEED_REL_TOL = 1e-4
 
 
 def _tangent_norm(R, g_R, g_t):
-    """Norm of the tangent part ``(vee(M - M^T), g_t)``, ``M = R^T g_R``, of
-    a pose seed at rotation ``R`` (see ``geometry.so3_exp_vjp``)."""
-    M = R.T @ g_R
-    return float(np.sqrt((M[2, 1] - M[1, 2]) ** 2 + (M[0, 2] - M[2, 0]) ** 2
-                         + (M[1, 0] - M[0, 1]) ** 2 + g_t @ g_t))
+    """Norm of the tangent part ``(so3_tangent(R, g_R), g_t)`` of a pose
+    seed at rotation ``R``."""
+    v = so3_tangent(R, g_R)
+    return float(np.sqrt(v @ v + g_t @ g_t))
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,7 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
     src_pyr = pyramid_arr(src_img.gray(), settings.levels)
     depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
 
-    R = so3_exp(settings.init_pose.omega)
-    t = settings.init_pose.t.copy()
+    R, t = so3_exp(settings.init_pose.omega), settings.init_pose.t
     level_records = []
     for lv in reversed(range(settings.levels)):
         src_gray = src_pyr[lv]
@@ -175,19 +166,21 @@ def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
     return Pose6D(t, so3_log(R)), tape
 
 
-def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
-    """Vector-Jacobian product ``(d pose / d depth)^T @ grad_pose``.
+def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
+    """Vector-Jacobian product of the final pose with respect to depth.
 
-    Returns the gradient on the finest (input) depth grid.  The tape is
-    replayed level by level in reverse execution order; gradients picked
-    up on coarser grids flow back through the area-average downsampling
-    that produced them.
+    ``seed = (g_t, g_R)`` is the gradient on the output ``(tape.t_final,
+    tape.R_final)``, with ``g_R`` the ambient (3, 3) gradient that the
+    loss returns; it is used as it stands.  Returns the gradient on the
+    finest (input) depth grid.  The tape is replayed level by level in
+    reverse execution order; gradients picked up on coarser grids flow
+    back through the area-average downsampling that produced them.
 
-    Before each reverse iteration the sweep measures the seed ``(g_R,
-    g_t)`` on the pose that iteration produced, ``R' = Rd R``, by its
-    tangent part ``(vee(M - M^T), g_t)`` with ``M = R'^T g_R``.  ``R'`` is
-    a product of exponentials, so ``dR'/d depth`` lies in the tangent space
-    at ``R'`` and any other component of ``g_R`` contributes nothing.  Once
+    Before each reverse iteration the sweep measures the seed ``(g_t,
+    g_R)`` on the pose that iteration produced, ``R' = Rd R``, by its
+    tangent part ``(so3_tangent(R', g_R), g_t)``.  ``R'`` is a product of
+    exponentials, so ``dR'/d depth`` lies in the tangent space at ``R'``
+    and any other component of ``g_R`` contributes nothing.  Once
     that norm is at most ``SEED_REL_TOL`` times its initial value, the
     sweep stops: the remaining iterations and levels contribute zero.  A
     zero seed stops at once and gives exact zeros.
@@ -200,21 +193,14 @@ def ddvo_backward(tape: DdvoTape, grad_pose) -> np.ndarray:
     iterations, all on the finest level, cut the backward time to about
     0.4x and moved the gradient by a median 1.2e-4 and at most 1.5e-3.
     """
-    g = np.asarray(grad_pose, dtype=float).ravel()
-    if g.size != 6:
-        raise TapeMismatch(f"pose seed must have 6 entries, got {g.size}")
+    if not isinstance(seed, (tuple, list)) or [np.shape(g) for g in seed] != [(3,), (3, 3)]:
+        raise TapeMismatch("pose seed must be a pair (g_t (3,), g_R (3, 3))")
+    g_t, g_R = (np.asarray(g, dtype=float) for g in seed)
     if len(tape.levels) != tape.settings.levels or any(
         len(lv.iters) != tape.settings.unroll_iters for lv in tape.levels
     ):
         raise TapeMismatch("tape does not cover the configured unroll")
 
-    # Seed on (t, omega) -> seed on the final (R, t) matrices.  For the
-    # log map, a right perturbation R exp([e]x) moves omega by Jr^-1 e,
-    # so the matrix adjoint is R [Jr^-T g_omega]x / 2 (it only ever meets
-    # tangent-space variations, for which the antisymmetric lift is exact).
-    omega = so3_log(tape.R_final)
-    g_t = g[:3].copy()
-    g_R = 0.5 * tape.R_final @ skew(so3_right_jacobian_inv(omega).T @ g[3:])
     stop = SEED_REL_TOL * _tangent_norm(tape.R_final, g_R, g_t)
 
     level_grads = []  # finest first
@@ -280,8 +266,7 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     """
     settings = tape.settings
     depth_pyr = pyramid_arr(np.asarray(depth_values, dtype=float), settings.levels)
-    R = so3_exp(settings.init_pose.omega)
-    t = settings.init_pose.t.copy()
+    R, t = so3_exp(settings.init_pose.omega), settings.init_pose.t
     for i, level in enumerate(tape.levels):
         X = level.system.X.copy()
         X[3] = depth_pyr[settings.levels - 1 - i].ravel()

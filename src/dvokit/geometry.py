@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * A camera pose is the pair ``(t, omega)`` with ``t`` a translation and
   ``omega`` exponential (axis-angle) coordinates.  The associated rigid
   transform maps reference-frame points to source-frame points:
-  ``X_src = R(omega) @ X_ref + t``.
+  ``X_src = R(omega) @ X_ref + t``.  ``Pose6D`` is this form, used at the
+  package boundary; the solvers and the loss pass ``(R, t)`` between them
+  and a pose gradient as ``(g_t, g_R)``, ``g_R`` ambient on ``R``.
 * Image points live in normalized coordinates (pixel coordinates
   pre-multiplied by the inverse intrinsics), so the warp of a reference
   point ``x`` with inverse depth ``d`` is ``<R @ [x, 1] + d * t>`` where
@@ -87,26 +89,21 @@ def so3_right_jacobian(omega):
     return np.eye(3) - a * K + b * (K @ K)
 
 
-def so3_right_jacobian_inv(omega):
-    """Inverse of the right Jacobian of SO(3)."""
-    omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    K = skew(omega)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * K + (K @ K) / 12.0
-    c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) + 0.5 * K + c * (K @ K)
+def so3_tangent(R, g_R):
+    """Tangent part ``vee(M - M^T)``, ``M = R^T g_R``, of an ambient gradient
+    ``g_R`` at ``R``: ``<g_R, R [e]x> = e . vee(M - M^T)``, and every other
+    component of ``g_R`` pairs to zero with a variation of the rotation."""
+    M = R.T @ g_R
+    return np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
 
 
 def so3_exp_vjp(omega, R, g_R):
     """Gradient on ``omega`` from an ambient gradient ``g_R`` on ``R = so3_exp(omega)``.
 
-    ``R(omega + e) = R exp([Jr e]x)``, so ``<g_R, dR> = <R^T g_R, [Jr e]x>
-    = (Jr e) . vee(M - M^T)`` with ``M = R^T g_R``.
+    ``R(omega + e) = R exp([Jr e]x)``, so ``<g_R, dR> = (Jr e) .
+    so3_tangent(R, g_R)``.
     """
-    M = R.T @ g_R
-    vee = np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
-    return so3_right_jacobian(omega).T @ vee
+    return so3_right_jacobian(omega).T @ so3_tangent(R, g_R)
 
 
 def _canonical_omega(omega):
@@ -148,6 +145,10 @@ class Pose6D:
     def from_vector(v):
         v = np.asarray(v, dtype=float).reshape(6)
         return Pose6D(v[:3], v[3:])
+
+    def rt(self):
+        """The pair ``(R, t)`` that the solvers and the loss take."""
+        return so3_exp(self.omega), self.t
 
     def matrix(self):
         """Homogeneous 4x4 transform ``[R t; 0 1]``."""

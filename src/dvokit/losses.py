@@ -9,11 +9,12 @@ respect to the finest inverse-depth rasters and, where meaningful, the
 two relative poses; training never needs numeric differentiation.
 
 The terms work on bare (H, W) arrays and on poses in matrix form
-``(R, t)``, like the solvers; the validated types appear only at the
-``Triplet`` boundary.  ``triplet_loss`` exponentiates each pose once,
-gathers the pose gradient of every comparison on ``(R, t)`` (the two
-comparisons that use an inverse pose are pulled back in matrix form)
-and converts it to ``(t, omega)`` once per pose.  Depth gradients are
+``(R, t)``, like the solvers; the validated image types appear only at
+the ``Triplet`` boundary.  ``triplet_loss`` gathers the pose gradient of
+every comparison on ``(R, t)`` (the two comparisons that use an inverse
+pose are pulled back in matrix form) and returns it as ``(g_t, g_R)``,
+the seed ``ddvo.ddvo_backward`` takes; a caller that optimizes exponential
+coordinates converts with ``geometry.so3_exp_vjp``.  Depth gradients are
 gathered per pyramid level and lifted to the finest grid once per frame.
 
 A structural property worth naming: the appearance terms are invariant
@@ -32,7 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
-from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp
+from .geometry import CameraIntrinsics
+# perfbench traces so3_exp under this module's name; the loss takes
+# rotation matrices and calls it nowhere.
+from .geometry import so3_exp  # noqa: F401
 from .imaging import laplacian_arr, pyramid_arr, pyramid_grad_arr
 # perfbench traces the samplers under this module's name; the loss
 # reaches them through the warp module.
@@ -68,25 +72,25 @@ class LossWeights:
 class Triplet:
     """Three sequential frames with per-frame inverse depth.
 
-    ``p21`` and ``p23`` map middle-frame points into the first and third
-    frames respectively.
+    ``p21`` and ``p23`` are ``(R, t)`` pairs that map middle-frame points
+    into the first and third frames respectively (``Pose6D.rt`` gives one).
     """
 
     images: tuple
     inv_depths: tuple
-    p21: Pose6D
-    p23: Pose6D
+    p21: tuple
+    p23: tuple
 
     def __post_init__(self):
         if len(self.images) != 3 or len(self.inv_depths) != 3:
             raise ValueError("a triplet needs exactly three frames")
         shape = (self.images[0].height, self.images[0].width)
-        for img in self.images:
-            if (img.height, img.width) != shape:
-                raise ValueError("triplet image grids differ")
-        for d in self.inv_depths:
-            if (d.height, d.width) != shape:
-                raise ValueError("triplet depth grids differ")
+        if any((f.height, f.width) != shape for f in (*self.images, *self.inv_depths)):
+            raise ShapeMismatch("triplet image and depth grids differ")
+        for p in (self.p21, self.p23):
+            if not isinstance(p, (tuple, list)) or [np.shape(a) for a in p] != [(3, 3), (3,)]:
+                raise ShapeMismatch("triplet poses must be pairs (R (3, 3), t (3,)), "
+                                    f"got {type(p).__name__}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class LossBreakdown:
     prior_per_scale: tuple
     total: float
     grad_depths: tuple  # gradients on the three finest inverse-depth rasters
-    grad_p21: np.ndarray
-    grad_p23: np.ndarray
+    grad_p21: tuple  # (g_t, g_R), with g_R the ambient 3x3 gradient on R
+    grad_p23: tuple
 
 
 def normalize_inverse_depth(values):
@@ -282,8 +286,7 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
     g_levels = [[np.zeros(lv.shape) for lv in pyr] for pyr in depth_pyrs]
 
     # Pose slot 0 is p21, slot 1 is p23; gradients are gathered on (R, t).
-    Rs = [so3_exp(t.p21.omega), so3_exp(t.p23.omega)]
-    ts = [t.p21.t, t.p23.t]
+    Rs, ts = zip(t.p21, t.p23)
     g_Rs = [np.zeros((3, 3)), np.zeros((3, 3))]
     g_ts = [np.zeros(3), np.zeros(3)]
     # (ref frame, src frame, pose slot, inverted?); the depth is the ref frame's.
@@ -321,16 +324,12 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
             g_levels[i][s] += lam * g_d
         prior_per_scale.append(scale_prior)
 
-    grad_p21, grad_p23 = (
-        np.concatenate([g_t, so3_exp_vjp(p.omega, R, g_R)])
-        for p, R, g_t, g_R in zip((t.p21, t.p23), Rs, g_ts, g_Rs)
-    )
     total = float(sum(appearance_per_scale) + lam * sum(prior_per_scale))
     return LossBreakdown(
         appearance_per_scale=tuple(appearance_per_scale),
         prior_per_scale=tuple(prior_per_scale),
         total=total,
         grad_depths=tuple(pyramid_grad_arr(g) for g in g_levels),
-        grad_p21=grad_p21,
-        grad_p23=grad_p23,
+        grad_p21=(g_ts[0], g_Rs[0]),
+        grad_p23=(g_ts[1], g_Rs[1]),
     )

@@ -58,6 +58,12 @@ class SceneSpec:
             raise ValueError("depth range must be positive and ordered")
         if not 0.0 < self.texture_contrast <= 0.45:
             raise ValueError("texture_contrast must lie in (0, 0.45]")
+        if self.texture_waves < 1:
+            raise ValueError("texture_waves must be >= 1")
+        if not self.texture_max_freq >= 1.0:  # frequencies come from [1, max]
+            raise ValueError("texture_max_freq must be >= 1")
+        if not 0.0 <= self.height_amplitude < 1.0:  # keeps the relief's depth > 0
+            raise ValueError("height_amplitude must lie in [0, 1)")
         if self.intrinsics is None:
             k = CameraIntrinsics(
                 float(self.width),

@@ -30,7 +30,7 @@ import numpy as np
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from .dvo import DvoSettings, solve_coarse_to_fine
 from .errors import DivergenceDetected, DvokitError, ShapeMismatch
-from .geometry import CameraIntrinsics, Pose6D
+from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp
 from .imaging import InverseDepthMap
 from .losses import (
     LossWeights,
@@ -267,9 +267,13 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                     )
                     tapes = (tape21, tape23)
             last_poses = (p21, p23)
+            if tapes is None:
+                loss_poses = (p21.rt(), p23.rt())
+            else:
+                loss_poses = tuple((tape.R_final, tape.t_final) for tape in tapes)
 
             bd = triplet_loss(
-                Triplet(tuple(images), tuple(loss_depths), p21, p23), k, cfg.weights
+                Triplet(tuple(images), tuple(loss_depths), *loss_poses), k, cfg.weights
             )
             mean_inv = float(np.mean([d.values.mean() for d in loss_depths]))
             gt_error = float("nan")
@@ -284,12 +288,8 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
 
             grad_loss_depths = [np.asarray(g) for g in bd.grad_depths]
             if tapes is not None:
-                grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
-                    tapes[0], bd.grad_p21
-                )
-                grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(
-                    tapes[1], bd.grad_p23
-                )
+                for tape, seed in zip(tapes, (bd.grad_p21, bd.grad_p23)):
+                    grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(tape, seed)
             if cfg.normalize_depth:
                 grad_raw = np.stack(
                     [
@@ -302,7 +302,11 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
             grad_logits = grad_raw * param.decode_grad()
             logits, depth_state = adam_step(depth_state, logits, grad_logits)
             if train_pose_params:
-                pose_grad = np.concatenate([bd.grad_p21, bd.grad_p23])
+                pose_grad = np.concatenate([
+                    np.concatenate([g_t, so3_exp_vjp(p.omega, R, g_R)])
+                    for p, (R, _), (g_t, g_R) in zip(last_poses, loss_poses,
+                                                     (bd.grad_p21, bd.grad_p23))
+                ])
                 pose_vec, pose_state = adam_step(pose_state, pose_vec, pose_grad)
     except DvokitError as err:
         err.trace = TrainTrace(tuple(records), last_depths, last_poses,

@@ -99,18 +99,18 @@ class TestSolverGradients:
         worst = 0.0
         for _ in range(50):
             ref, depth, src, k = small_instance(rng)
-            g = rng.normal(size=6)
+            g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
             direction = rng.normal(size=depth.values.shape)
             direction /= np.linalg.norm(direction)
             _, tape = ddvo_forward(ref, depth, src, k, settings)
-            analytic = float(np.sum(ddvo_backward(tape, g) * direction))
+            analytic = float(np.sum(ddvo_backward(tape, (g_t, g_R)) * direction))
             h = 1e-6
 
             def forward(values):
-                pose, _ = ddvo_forward(
+                _, moved = ddvo_forward(
                     ref, InverseDepthMap.from_array(values), src, k, settings
                 )
-                return float(g @ pose.as_vector())
+                return float(g_t @ moved.t_final + np.sum(g_R * moved.R_final))
 
             numeric = (
                 forward(depth.values + h * direction)
@@ -144,7 +144,7 @@ class TestSolverGradients:
                 for d in data["gt_inv_depths"]
             )
             k = data["intrinsics"]
-            bd = triplet_loss(Triplet(images, depths, p21, p23), k)
+            bd = triplet_loss(Triplet(images, depths, p21.rt(), p23.rt()), k)
             direction = rng.normal(size=depths[1].values.shape)
             direction /= np.linalg.norm(direction)
             analytic = float(np.sum(np.asarray(bd.grad_depths[1]) * direction))
@@ -152,7 +152,7 @@ class TestSolverGradients:
 
             def at(values):
                 moved = (depths[0], InverseDepthMap.from_array(values), depths[2])
-                return triplet_loss(Triplet(images, moved, p21, p23), k).total
+                return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k).total
 
             base = depths[1].values
             numeric = (at(base + h * direction) - at(base - h * direction)) / (2 * h)
@@ -191,16 +191,16 @@ class TestScaleAmbiguity:
             )
             for d in data["gt_inv_depths"]
         )
-        p21, p23 = data["poses"]
-        base = triplet_loss(Triplet(images, depths, p21, p23), k)
+        (R21, t21), (R23, t23) = (p.rt() for p in data["poses"])
+        base = triplet_loss(Triplet(images, depths, (R21, t21), (R23, t23)), k)
         assert sum(base.prior_per_scale) > 0.0
         s = 0.5
         rescaled = triplet_loss(
             Triplet(
                 images,
                 tuple(InverseDepthMap.from_array(d.values * s) for d in depths),
-                Pose6D(p21.t / s, p21.omega),
-                Pose6D(p23.t / s, p23.omega),
+                (R21, t21 / s),
+                (R23, t23 / s),
             ),
             k,
         )

@@ -324,6 +324,20 @@ class TestSynth:
                      "view2.pgm", "poses.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize("line", [
+        "scene.texture_max_freq = -4",
+        "scene.texture_waves = -2",
+        "scene.height_amplitude = 5",
+        "scene.height_amplitude = -3",
+    ])
+    def test_bad_scene_setting_is_a_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SYNTH_CFG + line + "\n")
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 1
+        assert line.split(" =")[0].split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generated_pair_passes_odometry(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SYNTH_CFG)

@@ -31,16 +31,25 @@ def small_instance(seed, width=16, height=16):
     return ref, depth, src, spec.intrinsics, pose
 
 
+def random_seed(rng):
+    """A pose seed ``(g_t, g_R)`` with an ambient, unprojected ``g_R``."""
+    return rng.normal(size=3), rng.normal(size=(3, 3))
+
+
+def seed_dot(g, R, t):
+    """``g_t . t + <g_R, R>``: the pose function a seed ``g`` differentiates."""
+    g_t, g_R = g
+    return float(g_t @ t + np.sum(g_R * R))
+
+
 def fd_directional(ref, depth, src, k, settings, g, delta, h=1e-5):
-    """Central-difference directional derivative of g . pose(d)."""
+    """Central-difference directional derivative of g . (R, t)(d)."""
 
     def run(values):
-        pose, _ = ddvo_forward(ref, InverseDepthMap.from_array(values), src, k, settings)
-        return pose.as_vector()
+        _, tape = ddvo_forward(ref, InverseDepthMap.from_array(values), src, k, settings)
+        return seed_dot(g, tape.R_final, tape.t_final)
 
-    plus = run(depth.values + h * delta)
-    minus = run(depth.values - h * delta)
-    return float(g @ (plus - minus)) / (2.0 * h)
+    return (run(depth.values + h * delta) - run(depth.values - h * delta)) / (2.0 * h)
 
 
 def full_sweep(tape, g, monkeypatch):
@@ -48,6 +57,20 @@ def full_sweep(tape, g, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ddvo, "SEED_REL_TOL", 0.0)
         return ddvo_backward(tape, g)
+
+
+def count_reversed_iterations(monkeypatch):
+    """Patch ddvo's sampler to log each call's ``grad`` flag; the reverse
+    sweep makes one ``grad=True`` call per iteration it reverses."""
+    calls = []
+    warp_and_sample = ddvo.warp_and_sample
+
+    def counting(*args, grad=False, **kwargs):
+        calls.append(grad)
+        return warp_and_sample(*args, grad=grad, **kwargs)
+
+    monkeypatch.setattr(ddvo, "warp_and_sample", counting)
+    return calls
 
 
 def rel_l2(a, b):
@@ -64,7 +87,7 @@ def clip_tapes():
     recorded = []
 
     def record(tape, g):
-        recorded.append((tape, np.array(g)))
+        recorded.append((tape, tuple(np.array(a) for a in g)))
         return ddvo_backward(tape, g)
 
     with pytest.MonkeyPatch.context() as m:
@@ -74,10 +97,17 @@ def clip_tapes():
     return recorded
 
 
+def pose_entries(tape):
+    """The 12 entries of the final pose: ``t``, then ``R`` row by row."""
+    return np.concatenate([tape.t_final, tape.R_final.ravel()])
+
+
 def pose_depth_jacobian(ref, depth, src, k, settings):
-    """Dense 6 x N pose-by-depth Jacobian, one ``ddvo_backward`` per unit seed."""
+    """Dense 12 x N Jacobian of ``pose_entries`` by depth, one
+    ``ddvo_backward`` per unit seed."""
     _, tape = ddvo_forward(ref, depth, src, k, settings)
-    return np.stack([ddvo_backward(tape, seed).ravel() for seed in np.eye(6)])
+    seeds = [(e[:3], e[3:].reshape(3, 3)) for e in np.eye(12)]
+    return np.stack([ddvo_backward(tape, seed).ravel() for seed in seeds])
 
 
 class TestForward:
@@ -134,21 +164,25 @@ class TestBackward:
         depth = InverseDepthMap.from_array(np.full((16, 16), 0.4))
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
         _, tape = ddvo_forward(img, depth, img, k, DdvoSettings(unroll_iters=2, damping=1e-3))
-        grad = ddvo_backward(tape, np.ones(6))
+        grad = ddvo_backward(tape, (np.ones(3), np.arange(9.0).reshape(3, 3)))
         assert np.array_equal(grad, np.zeros((16, 16)))
 
     def test_zero_seed_zero_gradient(self):
         # A zero seed ends the reverse sweep before its first iteration.
         ref, depth, src, k, _ = small_instance(2)
+        zero = (np.zeros(3), np.zeros((3, 3)))
         for s in (DdvoSettings(unroll_iters=2), DdvoSettings(unroll_iters=6, levels=2)):
             _, tape = ddvo_forward(ref, depth, src, k, s)
-            assert np.array_equal(ddvo_backward(tape, np.zeros(6)), np.zeros(depth.values.shape))
+            assert np.array_equal(ddvo_backward(tape, zero), np.zeros(depth.values.shape))
 
     def test_bad_seed_length(self):
         ref, depth, src, k, _ = small_instance(3)
         _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=1))
-        with pytest.raises(TapeMismatch):
-            ddvo_backward(tape, np.zeros(5))
+        # Among the wrong shapes is the 6-vector seed on (t, omega).
+        for seed in (np.zeros(6), (np.zeros(3), np.zeros(3)),
+                     (np.zeros((3, 3)), np.zeros(3)), (np.zeros(3),)):
+            with pytest.raises(TapeMismatch):
+                ddvo_backward(tape, seed)
 
     def test_finite_difference_single_instance(self):
         ref, depth, src, k, _ = small_instance(4)
@@ -156,13 +190,16 @@ class TestBackward:
         _, tape = ddvo_forward(ref, depth, src, k, s)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            g = rng.normal(size=6)
+            g = random_seed(rng)
             delta = rng.normal(size=depth.values.shape)
             fd = fd_directional(ref, depth, src, k, s, g, delta)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             assert abs(fd - analytic) <= 1e-3 * max(abs(fd), 1e-12)
 
     def test_finite_difference_fifty_instances(self):
+        # A step of 1e-5 lets the central difference straddle changes of
+        # the in-view mask: on trial 41 it then misses the exact gradient
+        # by 1.4e-2, while at 1e-6 every trial agrees with it to 3e-6.
         rng = np.random.default_rng(2024)
         worst = 0.0
         for trial in range(50):
@@ -170,9 +207,9 @@ class TestBackward:
             levels = 1 + trial % 2
             s = DdvoSettings(unroll_iters=2, levels=levels)
             _, tape = ddvo_forward(ref, depth, src, k, s)
-            g = rng.normal(size=6)
+            g = random_seed(rng)
             delta = rng.normal(size=depth.values.shape)
-            fd = fd_directional(ref, depth, src, k, s, g, delta)
+            fd = fd_directional(ref, depth, src, k, s, g, delta, h=1e-6)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             rel = abs(fd - analytic) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
@@ -188,11 +225,11 @@ class TestBackward:
         rng = np.random.default_rng(9)
         h = 1e-5
         for _ in range(3):
-            g = rng.normal(size=6)
+            g = random_seed(rng)
             delta = rng.normal(size=depth.values.shape)
-            plus = replay_frozen_jacobian(tape, depth.values + h * delta).as_vector()
-            minus = replay_frozen_jacobian(tape, depth.values - h * delta).as_vector()
-            fd = float(g @ (plus - minus)) / (2.0 * h)
+            plus = replay_frozen_jacobian(tape, depth.values + h * delta).rt()
+            minus = replay_frozen_jacobian(tape, depth.values - h * delta).rt()
+            fd = (seed_dot(g, *plus) - seed_dot(g, *minus)) / (2.0 * h)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             assert abs(fd - analytic) <= 1e-3 * max(abs(fd), 1e-12)
 
@@ -202,7 +239,7 @@ class TestBackward:
         _, part_tape = ddvo_forward(
             ref, depth, src, k, DdvoSettings(unroll_iters=2, grad_through_jacobian=False)
         )
-        g = np.ones(6)
+        g = (np.ones(3), np.arange(9.0).reshape(3, 3))
         assert np.max(np.abs(ddvo_backward(full_tape, g) - ddvo_backward(part_tape, g))) > 1e-12
 
     def test_replay_reproduces_forward_pose(self):
@@ -215,7 +252,7 @@ class TestBackward:
     def test_backward_determinism(self):
         ref, depth, src, k, _ = small_instance(8)
         _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2))
-        g = np.arange(6, dtype=float)
+        g = (np.arange(3.0), np.arange(9.0).reshape(3, 3))
         assert np.array_equal(ddvo_backward(tape, g), ddvo_backward(tape, g))
 
 
@@ -247,7 +284,7 @@ class TestDenseJacobian:
         jac = pose_depth_jacobian(
             img, depth, img, k, DdvoSettings(unroll_iters=1, damping=1e-3)
         )
-        assert np.array_equal(jac, np.zeros((6, 64)))
+        assert np.array_equal(jac, np.zeros((12, 64)))
 
     def test_matrix_matches_column_finite_differences(self):
         ref, depth, src, k = self.make_8x8()
@@ -258,14 +295,14 @@ class TestDenseJacobian:
         for i in range(64):
             values = depth.values.copy().ravel()
             values[i] += h
-            plus, _ = ddvo_forward(
+            _, plus = ddvo_forward(
                 ref, InverseDepthMap.from_array(values.reshape(8, 8)), src, k, s
             )
             values[i] -= 2.0 * h
-            minus, _ = ddvo_forward(
+            _, minus = ddvo_forward(
                 ref, InverseDepthMap.from_array(values.reshape(8, 8)), src, k, s
             )
-            fd[:, i] = (plus.as_vector() - minus.as_vector()) / (2.0 * h)
+            fd[:, i] = (pose_entries(plus) - pose_entries(minus)) / (2.0 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(jac - fd)) < 1e-3 * scale
 
@@ -275,14 +312,7 @@ class TestSeedContraction:
     part has contracted to ``SEED_REL_TOL`` of its initial norm."""
 
     def test_stops_early_on_the_clip(self, clip_tapes, monkeypatch):
-        calls = []
-        warp_and_sample = ddvo.warp_and_sample
-
-        def counting(*args, grad=False, **kwargs):
-            calls.append(grad)
-            return warp_and_sample(*args, grad=grad, **kwargs)
-
-        monkeypatch.setattr(ddvo, "warp_and_sample", counting)
+        calls = count_reversed_iterations(monkeypatch)
         for tape, g in clip_tapes:
             calls.clear()
             ddvo_backward(tape, g)
@@ -303,11 +333,35 @@ class TestSeedContraction:
         fired = 0
         for ref, depth, src, k in instances:
             _, tape = ddvo_forward(ref, depth, src, k, s)
-            g = rng.normal(size=6)
+            g = random_seed(rng)
             grad, full = ddvo_backward(tape, g), full_sweep(tape, g, monkeypatch)
             fired += not np.array_equal(grad, full)
             assert rel_l2(grad, full) < 1e-3
         assert fired > 0
+
+    def test_ignores_the_normal_part_of_the_seed(self, monkeypatch):
+        # dR/d depth lies in the tangent space at R_final, so adding
+        # R_final @ S with S symmetric (a normal direction) to g_R changes
+        # neither the gradient nor where the sweep stops.  S is large
+        # enough that a stop threshold taken from the ambient norm of the
+        # seed would move the stop point.
+        calls = count_reversed_iterations(monkeypatch)
+        rng = np.random.default_rng(14)
+        s = DdvoSettings(unroll_iters=6, levels=2)
+        for seed in range(4):
+            ref, depth, src, _, k = small_motion_pair(seed)
+            _, tape = ddvo_forward(ref, depth, src, k, s)
+            g_t, g_R = random_seed(rng)
+            S = rng.normal(size=(3, 3))
+            S = 10.0 * (S + S.T)
+            calls.clear()
+            grad = ddvo_backward(tape, (g_t, g_R))
+            reversed_plain = sum(calls)
+            assert reversed_plain < 12  # the stop rule fired
+            calls.clear()
+            shifted = ddvo_backward(tape, (g_t, g_R + tape.R_final @ S))
+            assert sum(calls) == reversed_plain
+            assert rel_l2(shifted, grad) < 1e-12
 
     def test_single_level_short_unroll_is_exact(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -316,7 +370,7 @@ class TestSeedContraction:
         for unroll in (1, 2, 3):
             for ref, depth, src, k in instances:
                 _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=unroll))
-                g = rng.normal(size=6)
+                g = random_seed(rng)
                 assert np.array_equal(ddvo_backward(tape, g), full_sweep(tape, g, monkeypatch))
 
     def test_finite_difference_on_the_truncated_path(self, monkeypatch):
@@ -328,7 +382,7 @@ class TestSeedContraction:
         for seed in range(6):
             ref, depth, src, _, k = small_motion_pair(seed)
             _, tape = ddvo_forward(ref, depth, src, k, s)
-            g = rng.normal(size=6)
+            g = random_seed(rng)
             grad = ddvo_backward(tape, g)
             assert not np.array_equal(grad, full_sweep(tape, g, monkeypatch))
             delta = rng.normal(size=depth.values.shape)

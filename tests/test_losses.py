@@ -30,7 +30,7 @@ def consistent_triplet(seed=5, width=32, height=32):
     p21 = Pose6D([-0.05, 0.0, 0.02], [0.0, 0.004, 0.0])
     p23 = Pose6D([0.05, 0.0, -0.02], [0.0, -0.003, 0.001])
     data = make_triplet(spec, p21, p23)
-    t = Triplet(data["images"], data["gt_inv_depths"], p21, p23)
+    t = Triplet(data["images"], data["gt_inv_depths"], p21.rt(), p23.rt())
     return t, data["intrinsics"]
 
 
@@ -221,7 +221,7 @@ class TestTripletLoss:
         img = ImageBuffer(rng.uniform(0.0, 1.0, size=(h, w)))
         y, x = np.mgrid[0:h, 0:w].astype(float)
         d = InverseDepthMap.from_array(0.3 + 0.001 * x + 0.002 * y)
-        t = Triplet((img, img, img), (d, d, d), Pose6D.identity(), Pose6D.identity())
+        t = Triplet((img, img, img), (d, d, d), Pose6D.identity().rt(), Pose6D.identity().rt())
         k = CameraIntrinsics(float(w), float(w), (w - 1) / 2.0, (h - 1) / 2.0)
         bd = triplet_loss(t, k)
         assert bd.total < 1e-10
@@ -242,8 +242,8 @@ class TestTripletLoss:
         scaled = Triplet(
             t.images,
             tuple(InverseDepthMap.from_array(d.values * s) for d in t.inv_depths),
-            Pose6D(t.p21.t / s, t.p21.omega),
-            Pose6D(t.p23.t / s, t.p23.omega),
+            (t.p21[0], t.p21[1] / s),
+            (t.p23[0], t.p23[1] / s),
         )
         other = triplet_loss(scaled, k)
         for a, b in zip(base.appearance_per_scale, other.appearance_per_scale):
@@ -297,17 +297,18 @@ class TestTripletLoss:
             fd = (total(1.0) - total(-1.0)) / (2.0 * h)
             an = float(np.sum(bd.grad_depths[i] * delta))
             assert abs(fd - an) <= 1e-4 * max(abs(fd), 1e-10)
-        for pose, grad, slot in ((t.p21, bd.grad_p21, 0), (t.p23, bd.grad_p23, 1)):
-            dp = rng.normal(size=6)
+        # The loss is defined for any 3x3 R, so the ambient g_R is checked
+        # along arbitrary, not only rotational, directions.
+        for (R, tr), (g_t, g_R), slot in ((t.p21, bd.grad_p21, 0), (t.p23, bd.grad_p23, 1)):
+            dR, dt = rng.normal(size=(3, 3)), rng.normal(size=3)
 
             def total(sign):
-                q = Pose6D.from_vector(pose.as_vector() + sign * h * dp)
                 poses = [t.p21, t.p23]
-                poses[slot] = q
+                poses[slot] = (R + sign * h * dR, tr + sign * h * dt)
                 return triplet_loss(Triplet(t.images, t.inv_depths, *poses), k).total
 
             fd = (total(1.0) - total(-1.0)) / (2.0 * h)
-            an = float(grad @ dp)
+            an = float(g_t @ dt + np.sum(g_R * dR))
             assert abs(fd - an) <= 1e-4 * max(abs(fd), 1e-10)
 
     def test_validation(self):
@@ -318,5 +319,11 @@ class TestTripletLoss:
         img = ImageBuffer(np.full((8, 8), 0.5))
         d_small = InverseDepthMap.from_array(np.full((4, 4), 0.5))
         d = InverseDepthMap.from_array(np.full((8, 8), 0.5))
-        with pytest.raises(ValueError):
-            Triplet((img, img, img), (d, d, d_small), Pose6D.identity(), Pose6D.identity())
+        identity = Pose6D.identity().rt()
+        with pytest.raises(ShapeMismatch):
+            Triplet((img, img, img), (d, d, d_small), identity, identity)
+        # A Pose6D is not an (R, t) pair.
+        with pytest.raises(ShapeMismatch):
+            Triplet((img, img, img), (d, d, d), Pose6D.identity(), identity)
+        with pytest.raises(ShapeMismatch):
+            Triplet((img, img, img), (d, d, d), identity, (np.zeros(3), np.eye(3)))

@@ -42,6 +42,30 @@ class TestMakeScene:
         with pytest.raises(ValueError):
             SceneSpec(depth_range=(3.0, 2.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("texture_waves", 0),
+        ("texture_waves", -2),
+        ("texture_max_freq", 0.5),
+        ("texture_max_freq", -4.0),
+        ("texture_max_freq", float("nan")),
+        ("height_amplitude", -3.0),
+        ("height_amplitude", -0.01),
+        ("height_amplitude", 1.0),
+        ("height_amplitude", 5.0),
+    ])
+    def test_rejects_bad_texture_and_relief(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneSpec(kind="smooth-height-field", **{field: value})
+
+    def test_accepts_the_edges_of_texture_and_relief(self):
+        spec = SceneSpec(kind="smooth-height-field", width=32, height=32, texture_waves=1,
+                         texture_max_freq=1.0, height_amplitude=0.0)
+        img, depth = make_scene(spec)
+        assert np.all(np.isfinite(img.gray())) and np.all(depth.values > 0.0)
+        spec = SceneSpec(kind="smooth-height-field", width=32, height=32,
+                         height_amplitude=0.99)
+        assert np.all(make_scene(spec)[1].values > 0.0)
+
 
 class TestRenderSceneView:
     def test_identity_pose_reproduces_reference(self):

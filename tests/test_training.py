@@ -171,15 +171,15 @@ class TestTrainTriplet:
         images, k, _, _ = clip
         trace = train_triplet(images, k, short_cfg("pose-param", normalize_depth=False))
         depths = tuple(InverseDepthMap.from_array(v) for v in trace.final_inv_depths)
-        p21, p23 = trace.final_poses
-        base = triplet_loss(Triplet(tuple(images), depths, p21, p23), k)
+        (R21, t21), (R23, t23) = (p.rt() for p in trace.final_poses)
+        base = triplet_loss(Triplet(tuple(images), depths, (R21, t21), (R23, t23)), k)
         assert sum(base.prior_per_scale) > 0.0
         s = 0.5
         shrunk = Triplet(
             tuple(images),
             tuple(InverseDepthMap.from_array(v * s) for v in trace.final_inv_depths),
-            Pose6D(p21.t / s, p21.omega),
-            Pose6D(p23.t / s, p23.omega),
+            (R21, t21 / s),
+            (R23, t23 / s),
         )
         other = triplet_loss(shrunk, k)
         assert other.total < base.total
