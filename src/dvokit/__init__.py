@@ -17,7 +17,7 @@ from .ddvo import (
     ddvo_forward,
     replay_frozen_jacobian,
 )
-from .dvo import DvoResult, DvoSettings, solve_coarse_to_fine, solve_level_arrays
+from .dvo import DvoResult, DvoSettings, solve_coarse_to_fine
 from .errors import (
     ConfigError,
     DegenerateDepth,
@@ -120,7 +120,6 @@ __all__ = [
     "so3_exp",
     "so3_log",
     "solve_coarse_to_fine",
-    "solve_level_arrays",
     "ssim",
     "train_triplet",
     "triplet_loss",

@@ -2,9 +2,12 @@
 
 Numeric and structural settings live in config files; command-line flags
 are reserved for mode switches and paths.  Every key maps onto a field of
-one of the library's settings types, defaults match those types' defaults,
-unknown keys are rejected, and values are validated by the settings types
-themselves (their ``__post_init__`` checks run at load time).
+one of the library's settings types.  The defaults are those types'
+defaults, except that the ``dvo``, ``ddvo`` and ``weights`` sections
+default to ``TrainConfig()``'s settings, so a training run without a
+config file trains as the library's default does.  Unknown keys are
+rejected, and values are validated by the settings types themselves
+(their ``__post_init__`` checks run at load time).
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field, fields, replace
 from .ddvo import DdvoSettings
 from .dvo import DvoSettings
 from .errors import ConfigError
+from .geometry import CameraIntrinsics
 from .losses import LossWeights
-from .synth import SceneSpec
+from .synth import SceneSpec, grid_intrinsics
 from .training import TrainConfig
 
 # TrainConfig fields that are themselves settings objects or are supplied
@@ -29,8 +33,9 @@ _SCENE_SKIP = ("intrinsics",)
 class CameraSettings:
     """Pinhole intrinsics for file-based commands.
 
-    Zero values mean "derive from the image size" with the same rule the
-    synthetic scenes use: fx = fy = width, principal point at the center.
+    Zero focal lengths mean "derive from the image size" with the rule
+    the synthetic scenes use, ``synth.grid_intrinsics``.  Either both
+    focal lengths are set or neither is.
     """
 
     fx: float = 0.0
@@ -41,14 +46,12 @@ class CameraSettings:
     def __post_init__(self):
         if not (self.fx >= 0.0 and self.fy >= 0.0):
             raise ValueError("focal lengths cannot be negative")
+        if (self.fx == 0.0) != (self.fy == 0.0):
+            raise ValueError("fx and fy must be set together")
 
     def resolve(self, width, height):
-        from .geometry import CameraIntrinsics
-
-        if self.fx == 0.0 or self.fy == 0.0:
-            return CameraIntrinsics(
-                float(width), float(width), (width - 1) / 2.0, (height - 1) / 2.0
-            )
+        if self.fx == 0.0:
+            return grid_intrinsics(width, height)
         return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
 
 
@@ -78,9 +81,9 @@ class GradcheckSettings:
 class RunConfig:
     """All file-configurable settings, one attribute per section."""
 
-    dvo: DvoSettings = field(default_factory=DvoSettings)
-    ddvo: DdvoSettings = field(default_factory=DdvoSettings)
-    weights: LossWeights = field(default_factory=LossWeights)
+    dvo: DvoSettings = field(default_factory=lambda: TrainConfig().dvo)
+    ddvo: DdvoSettings = field(default_factory=lambda: TrainConfig().ddvo)
+    weights: LossWeights = field(default_factory=lambda: TrainConfig().weights)
     train: TrainConfig = field(default_factory=TrainConfig)
     scene: SceneSpec = field(default_factory=SceneSpec)
     camera: CameraSettings = field(default_factory=CameraSettings)
@@ -104,15 +107,7 @@ def _section_fields(section):
     return {f.name: f for f in fields(type(_DEFAULTS[section])) if f.name not in skip}
 
 
-_DEFAULTS = {
-    "dvo": DvoSettings(),
-    "ddvo": DdvoSettings(),
-    "weights": LossWeights(),
-    "train": TrainConfig(),
-    "scene": SceneSpec(),
-    "camera": CameraSettings(),
-    "gradcheck": GradcheckSettings(),
-}
+_DEFAULTS = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
 
 _TRUE = ("true", "on", "yes", "1")
 _FALSE = ("false", "off", "no", "0")

@@ -17,6 +17,11 @@ unrolled solver in ``ddvo`` and its frozen-Jacobian replay share:
 
 Each caller warps the source itself and hands the samples to the step.
 
+``solve_coarse_to_fine`` is the one DVO entry point.  It runs
+``solve_level_arrays`` on each level, coarsest first, hands each level's
+``(R, t)`` to the next, and builds the ``DvoResult`` (and its ``Pose6D``)
+once, at the end.
+
 DVO stops each level at the first of three rules, which ``DvoResult``
 names per level, coarse to fine:
 
@@ -213,16 +218,15 @@ def _mean_sq(ref_flat, sampled, wvec):
     return float(np.sum(r * r) / np.sum(wvec))
 
 
-def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
-                       settings: DvoSettings):
-    """Single-level Gauss-Newton solve on bare arrays.
+def solve_level_arrays(ref_gray, depth, src_gray, k, R, t, settings: DvoSettings):
+    """Single-level Gauss-Newton solve on bare arrays from the pose ``(R, t)``.
 
-    ``residual_history`` holds the mean squared residual before each step
-    taken and, last, at the returned pose; ``stop_reasons`` names the rule
-    that ended the level (see the module docstring).
+    Returns ``(R, t, residuals, reason, valid_fraction)``: the pose the
+    level ends at, the mean squared residual before each step taken and,
+    last, at that pose, the rule that ended the level (see the module
+    docstring), and the in-view fraction at the end.
     """
     system = level_system(ref_gray, depth, k, settings.damping)
-    R, t = so3_exp(init.omega), init.t
     tol = settings.residual_rel_tol
     residuals = []
     for _ in range(settings.max_iters_per_level):
@@ -242,7 +246,6 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
     else:
         reason = "max_iters"
 
-    iters = len(residuals)
     if reason != "stalled":
         # Residual and validity at the returned pose.
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
@@ -251,43 +254,34 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, init: Pose6D,
             mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
             valid_fraction = float(wvec.mean())
     residuals.append(mean_sq)
-    return DvoResult(
-        pose=Pose6D(t, so3_log(R)),
-        final_residual=mean_sq,
-        iterations_used=(iters,),
-        valid_fraction=valid_fraction,
-        residual_history=tuple(residuals),
-        stop_reasons=(reason,),
-    )
+    return R, t, residuals, reason, valid_fraction
 
 
 def solve_coarse_to_fine(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                          src_img: ImageBuffer, k: CameraIntrinsics, init: Pose6D,
                          settings: DvoSettings) -> DvoResult:
-    """Coarse-to-fine solve; each level warm-starts the next finer one."""
+    """Coarse-to-fine solve; each level warm-starts the next finer one
+    from its ``(R, t)``.  ``DvoSettings(levels=1)`` solves the finest
+    level alone."""
     check_grids(ref_img, ref_depth, src_img)
     ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
     src_pyr = pyramid_arr(src_img.gray(), settings.levels)
     depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
-    pose = init
-    iters = []
-    history = []
-    reasons = []
-    result = None
+    R, t = init.rt()
+    iters, history, reasons = [], [], []
     for level in reversed(range(settings.levels)):
-        result = solve_level_arrays(
+        R, t, residuals, reason, valid_fraction = solve_level_arrays(
             ref_pyr[level], depth_pyr[level], src_pyr[level],
-            k.at_level(level), pose, settings,
+            k.at_level(level), R, t, settings,
         )
-        pose = result.pose
-        iters.append(result.iterations_used[0])
-        history.extend(result.residual_history)
-        reasons.extend(result.stop_reasons)
+        iters.append(len(residuals) - 1)
+        history.extend(residuals)
+        reasons.append(reason)
     return DvoResult(
-        pose=pose,
-        final_residual=result.final_residual,
+        pose=Pose6D(t, so3_log(R)),
+        final_residual=residuals[-1],
         iterations_used=tuple(iters),
-        valid_fraction=result.valid_fraction,
+        valid_fraction=valid_fraction,
         residual_history=tuple(history),
         stop_reasons=tuple(reasons),
     )

@@ -65,13 +65,13 @@ class SceneSpec:
         if not 0.0 <= self.height_amplitude < 1.0:  # keeps the relief's depth > 0
             raise ValueError("height_amplitude must lie in [0, 1)")
         if self.intrinsics is None:
-            k = CameraIntrinsics(
-                float(self.width),
-                float(self.width),
-                (self.width - 1) / 2.0,
-                (self.height - 1) / 2.0,
-            )
-            object.__setattr__(self, "intrinsics", k)
+            object.__setattr__(self, "intrinsics", grid_intrinsics(self.width, self.height))
+
+
+def grid_intrinsics(width, height):
+    """The default camera of a grid: fx = fy = width, principal point at
+    the center."""
+    return CameraIntrinsics(float(width), float(width), (width - 1) / 2.0, (height - 1) / 2.0)
 
 
 def _texture(spec: SceneSpec):

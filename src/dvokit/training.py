@@ -1,17 +1,19 @@
 """Desk-scale training loops over a three-frame clip.
 
 The depth "network" is a per-pixel logit raster pushed through the
-sigmoid decode ``d = 10 * sigmoid(l) + 0.01``; poses come from one of
-five interchangeable sources:
+sigmoid decode ``d = 10 * sigmoid(l) + 0.01``.  The five modes of
+``TRAIN_MODES`` take their poses as follows:
 
 * ``fixed-pose-gt``: ground-truth poses, isolating the depth objective;
-* ``pose-param``: two 6-vector pose parameters optimized jointly with
-  the depth by Adam (a stand-in for a learned pose predictor);
-* ``ddvo``: the differentiable solver run from identity each step, with
-  gradients flowing into the depth both directly through the loss and
-  through the solver's pose output;
-* ``ddvo-hybrid``: pose-param warmup, then the differentiable solver
-  initialized from the (frozen) pose parameters;
+* ``pose-param``, ``ddvo`` and ``ddvo-hybrid``: one schedule over two
+  6-vector pose parameters (a stand-in for a learned pose predictor).
+  During a warmup the loss takes the parameters as the poses, and Adam
+  trains them jointly with the depth.  After it, the differentiable
+  solver runs from the (frozen) parameters each step, and gradients
+  flow into the depth both directly through the loss and through the
+  solver's pose output.  The warmup is every step for ``pose-param``,
+  none for ``ddvo`` (the parameters stay zero, so the solver starts
+  from the identity) and ``pose_warmup_steps`` for ``ddvo-hybrid``;
 * ``dvo-em``: the non-differentiable solver re-run every step, its pose
   treated as a constant for the depth update (EM-style alternation).
 
@@ -214,6 +216,9 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
     depth_state = AdamState.fresh(logits.shape, lr=cfg.lr)
     pose_vec = np.zeros(12)  # (p21, p23) as stacked 6-vectors
     pose_state = AdamState.fresh(pose_vec.shape, lr=cfg.lr)
+    # Steps that train the pose parameters (see the module docstring).
+    pose_warmup = {"pose-param": cfg.steps, "ddvo": 0,
+                   "ddvo-hybrid": cfg.pose_warmup_steps}.get(cfg.mode, 0)
 
     records = []
     last_poses = (Pose6D.identity(), Pose6D.identity())
@@ -230,42 +235,28 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
             ]
             last_depths = tuple(d.values for d in loss_depths)
 
-            pose_from_params = (
+            pose_params = (
                 Pose6D.from_vector(pose_vec[:6]),
                 Pose6D.from_vector(pose_vec[6:]),
             )
+            train_pose_params = step < pose_warmup
             tapes = None
-            train_pose_params = False
             if cfg.mode == "fixed-pose-gt":
                 p21, p23 = gt_poses
-            elif cfg.mode == "pose-param":
-                p21, p23 = pose_from_params
-                train_pose_params = True
             elif cfg.mode == "dvo-em":
-                p21 = solve_coarse_to_fine(
-                    images[1], loss_depths[1], images[0], k, Pose6D.identity(), cfg.dvo
-                ).pose
-                p23 = solve_coarse_to_fine(
-                    images[1], loss_depths[1], images[2], k, Pose6D.identity(), cfg.dvo
-                ).pose
+                p21, p23 = (
+                    solve_coarse_to_fine(images[1], loss_depths[1], images[s], k,
+                                         Pose6D.identity(), cfg.dvo).pose
+                    for s in (0, 2)
+                )
+            elif train_pose_params:
+                p21, p23 = pose_params
             else:
-                if cfg.mode == "ddvo-hybrid" and step < cfg.pose_warmup_steps:
-                    p21, p23 = pose_from_params
-                    train_pose_params = True
-                else:
-                    init21 = Pose6D.identity()
-                    init23 = Pose6D.identity()
-                    if cfg.mode == "ddvo-hybrid":
-                        init21, init23 = pose_from_params
-                    p21, tape21 = ddvo_forward(
-                        images[1], loss_depths[1], images[0], k,
-                        replace(cfg.ddvo, init_pose=init21),
-                    )
-                    p23, tape23 = ddvo_forward(
-                        images[1], loss_depths[1], images[2], k,
-                        replace(cfg.ddvo, init_pose=init23),
-                    )
-                    tapes = (tape21, tape23)
+                (p21, p23), tapes = zip(*(
+                    ddvo_forward(images[1], loss_depths[1], images[s], k,
+                                 replace(cfg.ddvo, init_pose=init))
+                    for s, init in zip((0, 2), pose_params)
+                ))
             last_poses = (p21, p23)
             if tapes is None:
                 loss_poses = (p21.rt(), p23.rt())

@@ -93,6 +93,16 @@ class TestOdometry:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_lone_focal_length_exit_1(self, pair_files, tmp_path, capsys):
+        ref, depth, src, _, _ = pair_files
+        cfg = tmp_path / "fx_only.cfg"
+        cfg.write_text("camera.fx = 500\n")
+        code = main(["odometry", str(ref), str(depth), str(src), "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fx and fy" in captured.err
+
     def test_prints_stop_reasons(self, pair_files, capsys):
         ref, depth, src, _, cfg = pair_files
         assert main(["odometry", str(ref), str(depth), str(src), "--config", str(cfg)]) == 0

@@ -78,6 +78,19 @@ class TestParseConfig:
         assert tc.ddvo.levels == 2
         assert tc.lr == 0.5
 
+    def test_defaults_train_as_the_library(self):
+        got, want = parse_config("").train_config(), TrainConfig()
+        for f in fields(TrainConfig):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name in ("dvo", "ddvo", "weights"):
+                for g in fields(a):
+                    x, y = getattr(a, g.name), getattr(b, g.name)
+                    if g.name == "init_pose":
+                        x, y = x.as_vector().tolist(), y.as_vector().tolist()
+                    assert x == y, f"{f.name}.{g.name}"
+            else:
+                assert a == b, f.name
+
     def test_optional_damping_none(self):
         cfg = parse_config("dvo.damping = 0.5\n")
         assert cfg.dvo.damping == 0.5
@@ -155,6 +168,11 @@ class TestCameraSettings:
     def test_negative_focal_rejected(self):
         with pytest.raises(ValueError):
             CameraSettings(fx=-1.0)
+
+    @pytest.mark.parametrize("key", ["fx", "fy"])
+    def test_lone_focal_length_rejected(self, key):
+        with pytest.raises(ConfigError, match=r"camera.*fx and fy"):
+            parse_config(f"camera.{key} = 500\n")
 
 
 class TestGradcheckSettings:

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from dvokit.bundled import large_motion_pair, small_motion_pair
-from dvokit.dvo import (
-    DvoResult,
-    DvoSettings,
-    build_jacobian,
-    solve_coarse_to_fine,
-    solve_level_arrays,
-)
+from dvokit import dvo
+from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_fine
 from dvokit.errors import ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import ImageBuffer, InverseDepthMap, bilinear_many
@@ -26,10 +21,9 @@ def translation_rel_error(est: Pose6D, true: Pose6D):
 
 
 def solve_level(ref_img, ref_depth, src_img, k, init, settings):
-    """One-level solve on the images' gray planes and the depth values."""
-    return solve_level_arrays(
-        ref_img.gray(), ref_depth.values, src_img.gray(), k, init, settings
-    )
+    """One-level solve: the coarse-to-fine solver on the finest level only."""
+    assert settings.levels == 1
+    return solve_coarse_to_fine(ref_img, ref_depth, src_img, k, init, settings)
 
 
 class TestPrecomputeReferenceSystem:
@@ -124,13 +118,21 @@ class TestSolveLevel:
 
 
 class TestCoarseToFine:
-    def test_one_level_identical_to_solve_level(self):
+    def test_levels_hand_over_matrix_poses(self, monkeypatch):
+        # Each level passes (R, t) to the next; only the result is
+        # converted to exponential coordinates.
+        calls = []
+
+        def counting_log(R):
+            calls.append(R)
+            return so3_log(R)
+
+        monkeypatch.setattr(dvo, "so3_log", counting_log)
         ref_img, ref_depth, src_img, _, k = small_motion_pair(5)
-        s = DvoSettings(levels=1)
-        a = solve_level(ref_img, ref_depth, src_img, k, Pose6D.identity(), s)
-        b = solve_coarse_to_fine(ref_img, ref_depth, src_img, k, Pose6D.identity(), s)
-        assert np.array_equal(a.pose.as_vector(), b.pose.as_vector())
-        assert a.final_residual == b.final_residual
+        res = solve_coarse_to_fine(ref_img, ref_depth, src_img, k, Pose6D.identity(),
+                                   DvoSettings(levels=4))
+        assert len(res.iterations_used) == 4
+        assert len(calls) == 1
 
     def test_large_motion_needs_pyramid(self):
         ref_img, ref_depth, src_img, true_pose, k = large_motion_pair()

@@ -201,6 +201,34 @@ class TestTrainTriplet:
         assert abs(float(fields[1]) - trace.records[0].total) < 1e-15
 
 
+def assert_same_run(a, b):
+    """Bit-identical records, final depths and final poses."""
+    assert a.records == b.records
+    for x, y in zip(a.final_inv_depths, b.final_inv_depths, strict=True):
+        assert np.array_equal(x, y)
+    for x, y in zip(a.final_poses, b.final_poses, strict=True):
+        assert np.array_equal(x.as_vector(), y.as_vector())
+
+
+class TestPoseWarmup:
+    # pose-param, ddvo and ddvo-hybrid are one schedule whose warmup is
+    # every step, no step and pose_warmup_steps.
+    def test_ddvo_is_hybrid_without_warmup(self, clip):
+        images, k, _, gt_d = clip
+        runs = [train_triplet(images, k, short_cfg(mode, pose_warmup_steps=0),
+                              gt_inv_depth=gt_d)
+                for mode in ("ddvo", "ddvo-hybrid")]
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("warmup", [5, 9])
+    def test_pose_param_is_hybrid_warming_up_throughout(self, clip, warmup):
+        images, k, _, gt_d = clip
+        runs = [train_triplet(images, k, short_cfg(mode, pose_warmup_steps=warmup),
+                              gt_inv_depth=gt_d)
+                for mode in ("pose-param", "ddvo-hybrid")]
+        assert_same_run(*runs)
+
+
 class TestFailedRunKeepsTrace:
     def test_overlap_failure_carries_trace(self, clip):
         # Inverse depth 5 pushes the ground-truth warp of the outer frames
