@@ -5,7 +5,10 @@ pair, ``gradcheck`` runs the finite-difference report, ``train-demo``
 runs the triplet trainers and emits a CSV trace, ``eval`` / ``eval-ate``
 score depth maps and trajectories, and ``synth`` generates fixture
 scenes.  Numeric settings come from a ``section.key = value`` config
-file; flags carry only modes and paths.
+file; flags carry only modes and paths.  ``gradcheck`` reads only the
+``gradcheck`` and ``weights`` sections and prints five fixed rows (full
+chain, frozen Jacobian, loss depth, loss pose, normalization), each from
+one central-difference probe, ``_directional_error``.
 
 Exit codes: 0 success, 1 I/O, configuration, grid-mismatch or
 invalid-raster errors, 2 degenerate or diverged numeric runs and unusable
@@ -18,6 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -62,75 +66,60 @@ def cmd_odometry(args) -> int:
     return EXIT_OK
 
 
-def _gradcheck_instance(rng, cfg: RunConfig):
-    """One small synthetic pair plus solver settings for the check."""
-    spec = synth.SceneSpec(
+def _scene(rng, width, height):
+    """A small textured height field whose texture seed is drawn from ``rng``."""
+    return synth.SceneSpec(
         kind="smooth-height-field",
         texture_seed=int(rng.integers(0, 2**31)),
-        width=cfg.gradcheck.width,
-        height=cfg.gradcheck.height,
+        width=width,
+        height=height,
         depth_range=(2.0, 4.0),
         texture_waves=6,
         texture_max_freq=3.0,
         texture_contrast=0.3,
     )
+
+
+def _directional_error(rng, f, x, grad, h):
+    """Relative error of ``grad`` along a random unit direction at ``x``
+    against the central difference of ``f`` with step ``h``."""
+    direction = rng.normal(size=np.shape(x))
+    direction /= np.linalg.norm(direction)
+    analytic = float(np.sum(grad * direction))
+    numeric = (f(x + h * direction) - f(x - h * direction)) / (2.0 * h)
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+
+
+def _solver_error(rng, cfg, full_chain):
+    """``g_t . t + <g_R, R>`` of the unrolled solver's pose ``(R, t)`` as a
+    function of depth: the full chain re-solves, the frozen-Jacobian row
+    replays the tape (the map ``grad_through_jacobian=False`` differentiates)."""
+    gc = cfg.gradcheck
+    spec = _scene(rng, gc.width, gc.height)
     pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
     ref_img, ref_depth, src_img, _ = synth.make_pair(spec, pose)
-    settings = DdvoSettings(
-        unroll_iters=cfg.gradcheck.unroll_iters,
-        levels=2,
-        grad_through_jacobian=cfg.ddvo.grad_through_jacobian,
-    )
-    return ref_img, ref_depth, src_img, spec.intrinsics, settings
-
-
-def _rel_err(analytic, numeric):
-    scale = max(abs(analytic), abs(numeric), 1e-12)
-    return abs(analytic - numeric) / scale
-
-
-def _solver_check(rng, cfg, frozen):
-    """Directional derivative of ``g_t . t + <g_R, R>`` of the solver's pose
-    ``(R, t)`` as a function of depth vs central differences."""
-    ref_img, ref_depth, src_img, k, settings = _gradcheck_instance(rng, cfg)
+    k = spec.intrinsics
+    settings = DdvoSettings(unroll_iters=gc.unroll_iters, levels=2,
+                            grad_through_jacobian=full_chain)
     g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
-    direction = rng.normal(size=ref_depth.values.shape)
-    direction /= np.linalg.norm(direction)
     _, tape = ddvo_forward(ref_img, ref_depth, src_img, k, settings)
-    grad = ddvo_backward(tape, (g_t, g_R))
-    analytic = float(np.sum(grad * direction))
-    h = 1e-6
 
-    def forward(values):
-        if frozen:
-            pose = replay_frozen_jacobian(tape, values)
+    def f(values):
+        if full_chain:
+            out, _ = ddvo_forward(ref_img, InverseDepthMap.from_array(values), src_img, k,
+                                  settings)
         else:
-            pose, _ = ddvo_forward(
-                ref_img, InverseDepthMap.from_array(values), src_img, k, settings
-            )
-        R, t = pose.rt()
+            out = replay_frozen_jacobian(tape, values)
+        R, t = out.rt()
         return float(g_t @ t + np.sum(g_R * R))
 
-    numeric = (
-        forward(ref_depth.values + h * direction)
-        - forward(ref_depth.values - h * direction)
-    ) / (2.0 * h)
-    return _rel_err(analytic, numeric)
+    return _directional_error(rng, f, ref_depth.values, ddvo_backward(tape, (g_t, g_R)), 1e-6)
 
 
-def _loss_triplet(rng, cfg):
-    spec = synth.SceneSpec(
-        kind="smooth-height-field",
-        texture_seed=int(rng.integers(0, 2**31)),
-        # Large enough that the coarsest loss scale keeps a valid interior
-        # for any small random motion.
-        width=48,
-        height=32,
-        depth_range=(2.0, 4.0),
-        texture_waves=6,
-        texture_max_freq=3.0,
-        texture_contrast=0.3,
-    )
+def _loss_triplet(rng):
+    # Large enough that the coarsest loss scale keeps a valid interior for
+    # any small random motion.
+    spec = _scene(rng, 48, 32)
     p21 = bundled.random_small_motion(rng, 0.01, 0.3)
     p23 = bundled.random_small_motion(rng, 0.01, 0.3)
     data = synth.make_triplet(spec, p21, p23)
@@ -142,95 +131,56 @@ def _loss_triplet(rng, cfg):
     return data["images"], depths, p21, p23, data["intrinsics"]
 
 
-def _loss_depth_check(rng, cfg):
-    images, depths, p21, p23, k = _loss_triplet(rng, cfg)
-    bd = triplet_loss(Triplet(images, depths, p21.rt(), p23.rt()), k, cfg.weights)
-    direction = rng.normal(size=depths[1].values.shape)
-    direction /= np.linalg.norm(direction)
-    analytic = float(np.sum(np.asarray(bd.grad_depths[1]) * direction))
-    h = 1e-6
+def _loss_depth_error(rng, cfg):
+    images, depths, p21, p23, k = _loss_triplet(rng)
 
-    def at(values):
-        moved = (
-            depths[0],
-            InverseDepthMap.from_array(values),
-            depths[2],
-        )
-        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.weights).total
+    def loss(values):
+        moved = (depths[0], InverseDepthMap.from_array(values), depths[2])
+        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.weights)
 
-    base = depths[1].values
-    numeric = (at(base + h * direction) - at(base - h * direction)) / (2.0 * h)
-    return _rel_err(analytic, numeric)
+    grad = loss(depths[1].values).grad_depths[1]
+    return _directional_error(rng, lambda v: loss(v).total, depths[1].values, grad, 1e-6)
 
 
-def _loss_pose_check(rng, cfg):
-    images, depths, p21, p23, k = _loss_triplet(rng, cfg)
-    R21, t21 = p21.rt()
-    bd = triplet_loss(Triplet(images, depths, (R21, t21), p23.rt()), k, cfg.weights)
-    direction = rng.normal(size=6)
-    direction /= np.linalg.norm(direction)
-    g_t, g_R = bd.grad_p21
-    analytic = float(np.concatenate([g_t, so3_exp_vjp(p21.omega, R21, g_R)]) @ direction)
-    h = 1e-7
+def _loss_pose_error(rng, cfg):
+    images, depths, p21, p23, k = _loss_triplet(rng)
 
-    def at(vec):
+    def loss(vec):
         moved = Pose6D.from_vector(vec).rt()
-        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.weights).total
+        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.weights)
 
-    v = p21.as_vector()
-    numeric = (at(v + h * direction) - at(v - h * direction)) / (2.0 * h)
-    return _rel_err(analytic, numeric)
+    g_t, g_R = loss(p21.as_vector()).grad_p21
+    grad = np.concatenate([g_t, so3_exp_vjp(p21.omega, p21.rt()[0], g_R)])
+    return _directional_error(rng, lambda v: loss(v).total, p21.as_vector(), grad, 1e-7)
 
 
-def _normalization_check(rng, cfg):
+def _normalization_error(rng, cfg):
     d = rng.uniform(0.5, 2.0, size=(cfg.gradcheck.height, cfg.gradcheck.width))
     w = rng.normal(size=d.shape)
-    direction = rng.normal(size=d.shape)
-    direction /= np.linalg.norm(direction)
-    grad = normalize_inverse_depth_vjp(d, w)
-    analytic = float(np.sum(grad * direction))
-    h = 1e-7
-
-    def at(values):
-        return float(np.sum(w * normalize_inverse_depth(values)))
-
-    numeric = (at(d + h * direction) - at(d - h * direction)) / (2.0 * h)
-    return _rel_err(analytic, numeric)
+    return _directional_error(rng, lambda v: float(np.sum(w * normalize_inverse_depth(v))),
+                              d, normalize_inverse_depth_vjp(d, w), 1e-7)
 
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     gc = cfg.gradcheck
-    rows = []
-
-    def suite(name, check, tol):
+    rows = (
+        ("solver depth (full chain)", partial(_solver_error, full_chain=True), gc.solver_tol),
+        ("solver depth (frozen Jacobian)", partial(_solver_error, full_chain=False),
+         gc.solver_tol),
+        ("loss depth gradient", _loss_depth_error, gc.loss_tol),
+        ("loss pose gradient", _loss_pose_error, gc.loss_tol),
+        ("depth normalization chain", _normalization_error, gc.loss_tol),
+    )
+    width = max(len(name) for name, _, _ in rows)
+    print(f"{'component'.ljust(width)}  max_rel_error  status")
+    ok = True
+    for name, check, tol in rows:
+        # Each row draws its instances from a fresh generator on the seed.
         rng = np.random.default_rng(args.seed)
         worst = max(check(rng, cfg) for _ in range(gc.instances))
-        rows.append((name, f"{worst:.3e}", "pass" if worst < tol else "FAIL"))
-        return worst < tol
-
-    ok = True
-    if cfg.ddvo.grad_through_jacobian:
-        ok &= suite(
-            "solver depth (full chain)",
-            lambda r, c: _solver_check(r, c, frozen=False),
-            gc.solver_tol,
-        )
-    else:
-        rows.append(("solver depth (full chain)", "-", "skipped (config)"))
-        ok &= suite(
-            "solver depth (frozen Jacobian)",
-            lambda r, c: _solver_check(r, c, frozen=True),
-            gc.solver_tol,
-        )
-    ok &= suite("loss depth gradient", _loss_depth_check, gc.loss_tol)
-    ok &= suite("loss pose gradient", _loss_pose_check, gc.loss_tol)
-    ok &= suite("depth normalization chain", _normalization_check, gc.loss_tol)
-
-    width = max(len(r[0]) for r in rows)
-    print(f"{'component'.ljust(width)}  max_rel_error  status")
-    for name, err, status in rows:
-        print(f"{name.ljust(width)}  {err:>13}  {status}")
+        ok &= worst < tol
+        print(f"{name.ljust(width)}  {worst:>13.3e}  {'pass' if worst < tol else 'FAIL'}")
     return EXIT_OK if ok else EXIT_GRADCHECK
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields, replace
 from .ddvo import DdvoSettings
 from .dvo import DvoSettings
 from .errors import ConfigError
-from .geometry import CameraIntrinsics
 from .losses import LossWeights
 from .synth import SceneSpec, grid_intrinsics
 from .training import TrainConfig
@@ -33,9 +32,10 @@ _SCENE_SKIP = ("intrinsics",)
 class CameraSettings:
     """Pinhole intrinsics for file-based commands.
 
-    Zero focal lengths mean "derive from the image size" with the rule
-    the synthetic scenes use, ``synth.grid_intrinsics``.  Either both
-    focal lengths are set or neither is.
+    A zero field means "derive it from the image size" with the rule the
+    synthetic scenes use, ``synth.grid_intrinsics``; each field is taken
+    or derived on its own.  Either both focal lengths are set or neither
+    is.
     """
 
     fx: float = 0.0
@@ -50,9 +50,9 @@ class CameraSettings:
             raise ValueError("fx and fy must be set together")
 
     def resolve(self, width, height):
-        if self.fx == 0.0:
-            return grid_intrinsics(width, height)
-        return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
+        grid = grid_intrinsics(width, height)
+        return replace(grid, **{f.name: getattr(self, f.name)
+                                for f in fields(self) if getattr(self, f.name) != 0.0})
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,6 @@ def _section_fields(section):
         skip = _TRAIN_SKIP
     elif section == "scene":
         skip = _SCENE_SKIP
-    elif section == "ddvo":
-        skip = ("init_pose",)
     return {f.name: f for f in fields(type(_DEFAULTS[section])) if f.name not in skip}
 
 

@@ -41,7 +41,7 @@ coordinates appear only at the pose update deltas and at the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,10 @@ from .dvo import (
 # perfbench traces the Jacobian build under this module's name; the solver
 # reaches it through dvo.level_system.
 from .dvo import build_jacobian  # noqa: F401
-from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp, so3_log, so3_tangent
+from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp, so3_log, so3_tangent
+# perfbench traces the rotation exponential under this module's name; the
+# solver reaches it through Pose6D.rt and dvo.update_pose.
+from .geometry import so3_exp  # noqa: F401
 from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, pyramid_grad_arr
 # perfbench traces these under this module's name; the solver reaches the
 # sampler and the image gradient through the warp and dvo modules.
@@ -81,14 +84,14 @@ def _tangent_norm(R, g_R, g_t):
 class DdvoSettings:
     """Unrolled-solver knobs.
 
-    ``levels=1`` runs on the finest scale only (the warm-started hybrid
-    mode); larger values run coarse-to-fine from the given init.
+    ``levels=1`` runs on the finest scale only; larger values run
+    coarse-to-fine.  The start pose is a per-call input of
+    ``ddvo_forward``, not a setting.
     """
 
     unroll_iters: int = 3
     levels: int = 1
     damping: float | None = None
-    init_pose: Pose6D = field(default_factory=Pose6D.identity)
     grad_through_jacobian: bool = True
 
     def __post_init__(self):
@@ -135,14 +138,14 @@ class DdvoTape:
 
 def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
                  src_img: ImageBuffer, k: CameraIntrinsics,
-                 settings: DdvoSettings):
-    """Run the fixed unrolled solve; returns ``(pose, tape)``."""
+                 settings: DdvoSettings, init: Pose6D = Pose6D.identity()):
+    """Run the fixed unrolled solve from ``init``; returns ``(pose, tape)``."""
     check_grids(ref_img, ref_depth, src_img)
     ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
     src_pyr = pyramid_arr(src_img.gray(), settings.levels)
     depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
 
-    R, t = so3_exp(settings.init_pose.omega), settings.init_pose.t
+    R, t = init.rt()
     level_records = []
     for lv in reversed(range(settings.levels)):
         src_gray = src_pyr[lv]
@@ -258,7 +261,7 @@ def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
 
 def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     """Re-run the unroll warping with ``depth_values`` but keeping the
-    tape's Jacobians and damping fixed.
+    tape's Jacobians and damping fixed, from the tape's start pose.
 
     This is the forward map whose exact derivative the partial-chain
     backward (``grad_through_jacobian=False``) computes, so the two can
@@ -266,7 +269,8 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     """
     settings = tape.settings
     depth_pyr = pyramid_arr(np.asarray(depth_values, dtype=float), settings.levels)
-    R, t = so3_exp(settings.init_pose.omega), settings.init_pose.t
+    first = tape.levels[0].iters[0]
+    R, t = first.R, first.t
     for i, level in enumerate(tape.levels):
         X = level.system.X.copy()
         X[3] = depth_pyr[settings.levels - 1 - i].ravel()

@@ -212,6 +212,8 @@ def read_trajectory(path):
                     raise FileFormatError(
                         path, f"pose line has {len(vals)} values, expected 12", offset=offset
                     )
+                if not np.all(np.isfinite(vals)):
+                    raise FileFormatError(path, "pose line has a non-finite value", offset=offset)
                 T = np.eye(4)
                 T[:3] = np.array(vals).reshape(3, 4)
                 poses.append(T)

@@ -126,7 +126,7 @@ class TrainConfig:
     lr: float = 1e-4
     weights: LossWeights = field(default_factory=LossWeights)
     ddvo: DdvoSettings = field(default_factory=lambda: DdvoSettings(unroll_iters=3, levels=4))
-    dvo: DvoSettings = field(default_factory=lambda: DvoSettings(levels=4))
+    dvo: DvoSettings = field(default_factory=DvoSettings)
     pose_warmup_steps: int = 200
     seed: int = 0
 
@@ -253,8 +253,7 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                 p21, p23 = pose_params
             else:
                 (p21, p23), tapes = zip(*(
-                    ddvo_forward(images[1], loss_depths[1], images[s], k,
-                                 replace(cfg.ddvo, init_pose=init))
+                    ddvo_forward(images[1], loss_depths[1], images[s], k, cfg.ddvo, init)
                     for s, init in zip((0, 2), pose_params)
                 ))
             last_poses = (p21, p23)

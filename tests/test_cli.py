@@ -136,8 +136,23 @@ class TestGradcheck:
         code = main(["gradcheck", "--config", str(cfg), "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "skipped" in out
         assert "frozen Jacobian" in out
+
+    def test_reads_no_ddvo_setting(self, tmp_path, capsys):
+        # The report fixes its own solver settings and always prints both
+        # solver rows, so the ddvo section leaves it unchanged.
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(GRADCHECK_CFG)
+        assert main(["gradcheck", "--config", str(cfg), "--seed", "0"]) == 0
+        default = capsys.readouterr().out
+        cfg.write_text(GRADCHECK_CFG + "ddvo.levels = 1\nddvo.damping = 0.5\n"
+                       "ddvo.grad_through_jacobian = false\n")
+        assert main(["gradcheck", "--config", str(cfg), "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
+        assert [line.split("  ")[0] for line in default.splitlines()[1:]] == [
+            "solver depth (full chain)", "solver depth (frozen Jacobian)",
+            "loss depth gradient", "loss pose gradient", "depth normalization chain",
+        ]
 
     def test_seeded_report_identical(self, tmp_path, capsys):
         cfg = tmp_path / "g.cfg"
@@ -298,6 +313,23 @@ class TestEvalAte:
         fileio.write_trajectory(a, mats)
         fileio.write_trajectory(b, mats[:-1])
         assert main(["eval-ate", str(a), str(b)]) == 2
+
+    def test_non_finite_entry_exit_1(self, tmp_path, capsys):
+        mats = [Pose6D(np.array([float(i), 0.0, 0.0]), np.zeros(3)).matrix()
+                for i in range(5)]
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        fileio.write_trajectory(a, mats)
+        fileio.write_trajectory(b, mats)
+        lines = a.read_text().splitlines(keepends=True)
+        row = lines[1].split()
+        row[3] = "nan"  # t_x of the second pose
+        a.write_text(lines[0] + " ".join(row) + "\n" + "".join(lines[2:]))
+        assert main(["eval-ate", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(a) in captured.err
+        assert f"byte offset {len(lines[0])}" in captured.err
 
     def test_single_pose_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

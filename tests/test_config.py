@@ -91,6 +91,13 @@ class TestParseConfig:
             else:
                 assert a == b, f.name
 
+    def test_every_ddvo_setting_is_a_config_key(self):
+        # The start pose is a per-call input of ddvo_forward, not a setting.
+        for f in fields(DdvoSettings):
+            value = getattr(DdvoSettings(), f.name)
+            cfg = parse_config(f"ddvo.{f.name} = {str(value).lower()}\n")
+            assert getattr(cfg.ddvo, f.name) == value, f.name
+
     def test_optional_damping_none(self):
         cfg = parse_config("dvo.damping = 0.5\n")
         assert cfg.dvo.damping == 0.5
@@ -164,6 +171,14 @@ class TestCameraSettings:
         k = CameraSettings().resolve(80, 64)
         assert (k.fx, k.fy) == (80.0, 80.0)
         assert (k.cx, k.cy) == (39.5, 31.5)
+
+    def test_principal_point_kept_without_focal_lengths(self):
+        k = parse_config("camera.cx = 10\ncamera.cy = 5\n").camera.resolve(80, 64)
+        assert (k.fx, k.fy, k.cx, k.cy) == (80.0, 80.0, 10.0, 5.0)
+
+    def test_principal_point_derived_with_focal_lengths(self):
+        k = parse_config("camera.fx = 80\ncamera.fy = 80\n").camera.resolve(80, 64)
+        assert (k.fx, k.fy, k.cx, k.cy) == (80.0, 80.0, 39.5, 31.5)
 
     def test_negative_focal_rejected(self):
         with pytest.raises(ValueError):

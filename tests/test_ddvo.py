@@ -249,6 +249,15 @@ class TestBackward:
         replayed = replay_frozen_jacobian(tape, depth.values)
         assert np.array_equal(pose.as_vector(), replayed.as_vector())
 
+    def test_replay_starts_from_the_forward_init(self):
+        ref, depth, src, k, _ = small_instance(7)
+        init = Pose6D(np.array([0.01, -0.02, 0.005]), np.array([0.002, 0.0, -0.003]))
+        pose, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2, levels=2),
+                                  init)
+        assert np.array_equal(tape.levels[0].iters[0].R, init.rt()[0])
+        replayed = replay_frozen_jacobian(tape, depth.values)
+        assert np.array_equal(pose.as_vector(), replayed.as_vector())
+
     def test_backward_determinism(self):
         ref, depth, src, k, _ = small_instance(8)
         _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2))
