@@ -39,13 +39,18 @@ def random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5):
     return Pose6D(t, w)
 
 
+def solver_inputs(spec, pose):
+    """``(ref_gray, ref_depth, src_gray, pose, k)``: a rendered pair as the
+    (H, W) arrays the solvers take, its true pose and its camera."""
+    ref_img, ref_depth, src_img, _ = make_pair(spec, pose)
+    return ref_img.gray(), ref_depth.values, src_img.gray(), pose, spec.intrinsics
+
+
 def small_motion_pair(seed):
-    """(ref_img, ref_depth, src_img, true_pose) for one recovery trial."""
+    """Solver inputs of one recovery trial (see ``solver_inputs``)."""
     rng = np.random.default_rng(seed)
     spec = pose_recovery_spec(int(rng.integers(0, 2**31)))
-    pose = random_small_motion(rng)
-    ref_img, ref_depth, src_img, _ = make_pair(spec, pose)
-    return ref_img, ref_depth, src_img, pose, spec.intrinsics
+    return solver_inputs(spec, random_small_motion(rng))
 
 
 def large_motion_spec():
@@ -66,10 +71,7 @@ def large_motion_pose():
 
 
 def large_motion_pair():
-    spec = large_motion_spec()
-    pose = large_motion_pose()
-    ref_img, ref_depth, src_img, _ = make_pair(spec, pose)
-    return ref_img, ref_depth, src_img, pose, spec.intrinsics
+    return solver_inputs(large_motion_spec(), large_motion_pose())
 
 
 def training_spec(width=80, height=64):

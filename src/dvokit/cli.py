@@ -31,7 +31,6 @@ from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacob
 from .dvo import solve_coarse_to_fine
 from .errors import ConfigError, DvokitError, FileFormatError, InvalidRaster, ShapeMismatch
 from .geometry import Pose6D, so3_exp_vjp
-from .imaging import InverseDepthMap
 from .losses import (
     Triplet,
     normalize_inverse_depth,
@@ -53,7 +52,8 @@ def cmd_odometry(args) -> int:
     depth = fileio.read_inverse_depth(args.ref_depth)
     src = fileio.read_image(args.src)
     k = cfg.camera.resolve(ref.width, ref.height)
-    result = solve_coarse_to_fine(ref, depth, src, k, Pose6D.identity(), cfg.dvo)
+    result = solve_coarse_to_fine(ref.gray(), depth.values, src.gray(), k,
+                                  Pose6D.identity(), cfg.dvo)
     print(fileio.format_pose_row(result.pose.matrix()))
     print(
         f"residual {result.final_residual:.17g} "
@@ -80,11 +80,18 @@ def _scene(rng, width, height):
     )
 
 
-def _directional_error(rng, f, x, grad, h):
+def _directional_error(rng, f, x, grad, h, toward_grad=False):
     """Relative error of ``grad`` along a random unit direction at ``x``
-    against the central difference of ``f`` with step ``h``."""
+    against the central difference of ``f`` with step ``h``.  With
+    ``toward_grad`` the direction is ``normalize(grad / |grad| + u)`` for
+    the unit draw ``u``: on a dense raster ``u`` alone is nearly orthogonal
+    to ``grad``, and the derivative along it drowns in the rounding noise
+    of ``f``."""
     direction = rng.normal(size=np.shape(x))
     direction /= np.linalg.norm(direction)
+    if toward_grad:
+        direction += grad / np.linalg.norm(grad)
+        direction /= np.linalg.norm(direction)
     analytic = float(np.sum(grad * direction))
     numeric = (f(x + h * direction) - f(x - h * direction)) / (2.0 * h)
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
@@ -97,23 +104,21 @@ def _solver_error(rng, cfg, full_chain):
     gc = cfg.gradcheck
     spec = _scene(rng, gc.width, gc.height)
     pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
-    ref_img, ref_depth, src_img, _ = synth.make_pair(spec, pose)
-    k = spec.intrinsics
+    ref, depth, src, _, k = bundled.solver_inputs(spec, pose)
     settings = DdvoSettings(unroll_iters=gc.unroll_iters, levels=2,
                             grad_through_jacobian=full_chain)
     g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
-    _, tape = ddvo_forward(ref_img, ref_depth, src_img, k, settings)
+    _, tape = ddvo_forward(ref, depth, src, k, settings)
 
     def f(values):
         if full_chain:
-            out, _ = ddvo_forward(ref_img, InverseDepthMap.from_array(values), src_img, k,
-                                  settings)
+            out, _ = ddvo_forward(ref, values, src, k, settings)
         else:
             out = replay_frozen_jacobian(tape, values)
         R, t = out.rt()
         return float(g_t @ t + np.sum(g_R * R))
 
-    return _directional_error(rng, f, ref_depth.values, ddvo_backward(tape, (g_t, g_R)), 1e-6)
+    return _directional_error(rng, f, depth, ddvo_backward(tape, (g_t, g_R)), 1e-6)
 
 
 def _loss_triplet(rng):
@@ -125,21 +130,21 @@ def _loss_triplet(rng):
     data = synth.make_triplet(spec, p21, p23)
     # Evaluate away from the photometric optimum: at the exact depths the
     # L1 residuals sit on their kink and finite differences are unreliable.
-    depths = tuple(
-        InverseDepthMap.from_array(1.1 * d.values) for d in data["gt_inv_depths"]
-    )
-    return data["images"], depths, p21, p23, data["intrinsics"]
+    images = tuple(img.gray() for img in data["images"])
+    depths = tuple(1.1 * d.values for d in data["gt_inv_depths"])
+    return images, depths, p21, p23, data["intrinsics"]
 
 
 def _loss_depth_error(rng, cfg):
     images, depths, p21, p23, k = _loss_triplet(rng)
 
     def loss(values):
-        moved = (depths[0], InverseDepthMap.from_array(values), depths[2])
+        moved = (depths[0], values, depths[2])
         return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.weights)
 
-    grad = loss(depths[1].values).grad_depths[1]
-    return _directional_error(rng, lambda v: loss(v).total, depths[1].values, grad, 1e-6)
+    grad = loss(depths[1]).grad_depths[1]
+    return _directional_error(rng, lambda v: loss(v).total, depths[1], grad, 1e-6,
+                              toward_grad=True)
 
 
 def _loss_pose_error(rng, cfg):

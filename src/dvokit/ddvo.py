@@ -26,7 +26,8 @@ Depth enters the unrolled computation three ways:
 Paths (b) and (c) can be switched off (``grad_through_jacobian=False``)
 to measure their contribution; path (a) is always active.
 
-The forward pass and the frozen-Jacobian replay run the Gauss-Newton
+The forward pass takes the (H, W) arrays ``dvo.solve_coarse_to_fine``
+takes, and it and the frozen-Jacobian replay run the Gauss-Newton
 pieces of ``dvo`` (``level_system``, ``gauss_newton_step``,
 ``update_pose``); this module adds the tape and its reverse pass.  The
 tape keeps each level's system (points, J, its depth factor A and the
@@ -49,24 +50,20 @@ from .errors import TapeMismatch
 from .dvo import (
     DAMPING_COEFF,
     LevelSystem,
-    check_grids,
     gauss_newton_step,
     in_view_weights,
     level_system,
     update_pose,
 )
-# perfbench traces the Jacobian build under this module's name; the solver
-# reaches it through dvo.level_system.
-from .dvo import build_jacobian  # noqa: F401
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp, so3_log, so3_tangent
-# perfbench traces the rotation exponential under this module's name; the
-# solver reaches it through Pose6D.rt and dvo.update_pose.
-from .geometry import so3_exp  # noqa: F401
-from .imaging import ImageBuffer, InverseDepthMap, pyramid_arr, pyramid_grad_arr
-# perfbench traces these under this module's name; the solver reaches the
-# sampler and the image gradient through the warp and dvo modules.
-from .imaging import bilinear_grad_many, bilinear_many, gradient_arr  # noqa: F401
+from .imaging import check_grids, pyramid_arr, pyramid_grad_arr
 from .warp import warp_and_sample, warp_vjp
+
+# perfbench traces these under this module's name; the solver reaches them
+# through the dvo and warp modules and Pose6D.rt.
+from .dvo import build_jacobian  # noqa: F401
+from .geometry import so3_exp  # noqa: F401
+from .imaging import bilinear_grad_many, bilinear_many, gradient_arr  # noqa: F401
 
 # ddvo_backward ends its reverse sweep once the pose seed's tangent part
 # has fallen to this fraction of its initial norm.
@@ -136,14 +133,14 @@ class DdvoTape:
         return sum(len(lv.iters) for lv in self.levels)
 
 
-def ddvo_forward(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
-                 src_img: ImageBuffer, k: CameraIntrinsics,
+def ddvo_forward(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
                  settings: DdvoSettings, init: Pose6D = Pose6D.identity()):
-    """Run the fixed unrolled solve from ``init``; returns ``(pose, tape)``."""
-    check_grids(ref_img, ref_depth, src_img)
-    ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
-    src_pyr = pyramid_arr(src_img.gray(), settings.levels)
-    depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
+    """Run the fixed unrolled solve on (H, W) arrays from ``init``;
+    returns ``(pose, tape)``."""
+    check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
+    ref_pyr = pyramid_arr(ref_gray, settings.levels)
+    src_pyr = pyramid_arr(src_gray, settings.levels)
+    depth_pyr = pyramid_arr(ref_depth, settings.levels)
 
     R, t = init.rt()
     level_records = []

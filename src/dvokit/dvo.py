@@ -3,8 +3,12 @@
 Given a grayscale reference image, its inverse depth, and a source image,
 the solver finds the pose minimizing the photometric error between the
 reference and the inversely warped source, coarse-to-fine over image
-pyramids.  The Gauss-Newton solver comes in three pieces that the
-unrolled solver in ``ddvo`` and its frozen-Jacobian replay share:
+pyramids.  All three are bare (H, W) float arrays on one grid
+(``imaging.check_grids``); the validated raster types stay where data
+enters (``fileio``, ``synth``, the CLI), which hand over
+``ImageBuffer.gray()`` and ``InverseDepthMap.values``.  The Gauss-Newton
+solver comes in three pieces that the unrolled solver in ``ddvo`` and
+its frozen-Jacobian replay share:
 
 * ``level_system`` builds the Jacobian once per level on the reference
   image, with its damping;
@@ -45,9 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateOverlap, ShapeMismatch, SingularSystem
+from .errors import DegenerateOverlap, SingularSystem
 from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
-from .imaging import ImageBuffer, InverseDepthMap, gradient_arr, pyramid_arr
+from .imaging import check_grids, gradient_arr, pyramid_arr
 # perfbench traces the sampler under this module's name; the solver
 # reaches it through the warp module.
 from .imaging import bilinear_many  # noqa: F401
@@ -56,7 +60,11 @@ from .warp import MIN_VALID_FRACTION, points, warp_and_sample
 # Condition-number ceiling for the damped normal equations.
 MAX_CONDITION = 1e12
 
-# Trace coefficient of the default damping, lambda = c * sum(J*J) / 6.
+# Trace coefficient of the default damping, lambda = c * sum(J*J) / 6.  It
+# breaks the solvers' scale equivariance ((s D) -> (R, t / s)): J's
+# translational columns scale with s, and lambda with them.  At s = 0.5 and
+# 3 it moved DVO's pose by up to 2.2e-5 relative and the DDVO depth gradient
+# by up to 2.4e-6 (README, "Scale"); damping = 0 is exact to ~1e-12.
 DAMPING_COEFF = 1e-6
 
 
@@ -68,7 +76,9 @@ class DvoSettings:
     max_iters_per_level: int = 20
     step_norm_tol: float = 1e-8
     residual_rel_tol: float = 1e-4  # 0 turns the stall rule off
-    damping: float | None = None  # None = 1e-6 * trace(J^T J) / 6 per level
+    # None = 1e-6 * trace(J^T J) / 6 per level, which is not scale-equivariant
+    # (see DAMPING_COEFF); 0 keeps (s D) -> (R, t / s) exact.
+    damping: float | None = None
 
     def __post_init__(self):
         if self.levels < 1 or self.max_iters_per_level < 1:
@@ -105,14 +115,6 @@ class LevelSystem(NamedTuple):
     A: np.ndarray  # (3, N) depth factor of J: J[:, :3] = d * A.T
     damp: np.ndarray  # lambda * I, the damping of the normal equations
     ref_flat: np.ndarray  # reference intensities, one per point
-
-
-def check_grids(ref_img: ImageBuffer, ref_depth: InverseDepthMap, src_img: ImageBuffer):
-    """Raise ShapeMismatch unless the reference, its depth and the source share one grid."""
-    if (ref_img.height, ref_img.width) != (ref_depth.height, ref_depth.width):
-        raise ShapeMismatch("reference image and depth grids differ")
-    if (ref_img.height, ref_img.width) != (src_img.height, src_img.width):
-        raise ShapeMismatch("reference and source grids differ")
 
 
 def _well_conditioned(H):
@@ -257,16 +259,15 @@ def solve_level_arrays(ref_gray, depth, src_gray, k, R, t, settings: DvoSettings
     return R, t, residuals, reason, valid_fraction
 
 
-def solve_coarse_to_fine(ref_img: ImageBuffer, ref_depth: InverseDepthMap,
-                         src_img: ImageBuffer, k: CameraIntrinsics, init: Pose6D,
-                         settings: DvoSettings) -> DvoResult:
-    """Coarse-to-fine solve; each level warm-starts the next finer one
-    from its ``(R, t)``.  ``DvoSettings(levels=1)`` solves the finest
-    level alone."""
-    check_grids(ref_img, ref_depth, src_img)
-    ref_pyr = pyramid_arr(ref_img.gray(), settings.levels)
-    src_pyr = pyramid_arr(src_img.gray(), settings.levels)
-    depth_pyr = pyramid_arr(ref_depth.values, settings.levels)
+def solve_coarse_to_fine(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
+                         init: Pose6D, settings: DvoSettings) -> DvoResult:
+    """Coarse-to-fine solve on (H, W) arrays; each level warm-starts the
+    next finer one from its ``(R, t)``.  ``DvoSettings(levels=1)`` solves
+    the finest level alone."""
+    check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
+    ref_pyr = pyramid_arr(ref_gray, settings.levels)
+    src_pyr = pyramid_arr(src_gray, settings.levels)
+    depth_pyr = pyramid_arr(ref_depth, settings.levels)
     R, t = init.rt()
     iters, history, reasons = [], [], []
     for level in reversed(range(settings.levels)):

@@ -1,13 +1,18 @@
 """Raster containers, subpixel sampling, stencil operators, and pyramids.
 
-Images are stored as float64 arrays of shape ``(height, width, channels)``
-with photometric values in [0, 1]; inverse-depth rasters are unconstrained
-non-negative single-channel buffers.  The operations below work on bare
-(H, W) arrays (the solvers and the losses take ``ImageBuffer.gray()``
-and ``InverseDepthMap.values``); the pyramid and its adjoint are one
-pair, ``pyramid_arr`` and ``pyramid_grad_arr``.  The adjoint takes one
-gradient per level and lifts their sum to the finest grid in a single
-coarse-to-fine pass, so a caller gathers its gradients per level first.
+``ImageBuffer`` stores an image as float64 of shape ``(height, width,
+channels)`` with photometric values in [0, 1]; ``InverseDepthMap`` holds a
+non-negative single-channel inverse depth.  They are the validated form
+of a raster where it enters the library: ``fileio`` reads into them,
+``synth`` renders into them and the CLI passes them on.  Past that
+boundary everything computes on bare (H, W) float arrays,
+``ImageBuffer.gray()`` and ``InverseDepthMap.values``: the solvers
+(``dvo``, ``ddvo``), the loss (``losses``) and the operations below.
+``check_grids`` is their one grid check.  The pyramid and its adjoint
+are one pair, ``pyramid_arr`` and ``pyramid_grad_arr``.  The adjoint
+takes one gradient per level and lifts their sum to the finest grid in a
+single coarse-to-fine pass, so a caller gathers its gradients per level
+first.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall, InvalidRaster
+from .errors import GridTooSmall, InvalidRaster, ShapeMismatch
 
 # Fixed grayscale weights; 8-bit sources are divided by 255 on load.
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -81,13 +86,16 @@ class InverseDepthMap:
     def values(self):
         return self.image.data[:, :, 0]
 
-    @property
-    def height(self):
-        return self.image.height
 
-    @property
-    def width(self):
-        return self.image.width
+def check_grids(planes):
+    """Raise ShapeMismatch unless the planes of the dict ``{name: plane}``
+    are (H, W) arrays on one grid; the message names the first misfit."""
+    (first, shape), *rest = ((name, np.shape(p)) for name, p in planes.items())
+    if len(shape) != 2:
+        raise ShapeMismatch(f"{first} must be an (H, W) array, got shape {shape}")
+    for name, other in rest:
+        if other != shape:
+            raise ShapeMismatch(f"{first} and {name} grids differ: {shape} vs {other}")
 
 
 def bilinear_many(plane, xs, ys, grad=False):

@@ -8,11 +8,13 @@ two coarsest scales only.  Every term returns exact gradients with
 respect to the finest inverse-depth rasters and, where meaningful, the
 two relative poses; training never needs numeric differentiation.
 
-The terms work on bare (H, W) arrays and on poses in matrix form
-``(R, t)``, like the solvers; the validated image types appear only at
-the ``Triplet`` boundary.  ``triplet_loss`` gathers the pose gradient of
-every comparison on ``(R, t)`` (the two comparisons that use an inverse
-pose are pulled back in matrix form) and returns it as ``(g_t, g_R)``,
+The terms, ``Triplet`` and ``triplet_loss`` work on bare (H, W) gray and
+inverse-depth arrays and on poses in matrix form ``(R, t)``, like the
+solvers; the validated raster types stay where data enters (``fileio``,
+``synth``, the CLI), and ``training.train_triplet`` takes its clip's
+arrays once.  ``triplet_loss`` gathers the pose gradient of every
+comparison on ``(R, t)`` (the two comparisons that use an inverse pose
+are pulled back in matrix form) and returns it as ``(g_t, g_R)``,
 the seed ``ddvo.ddvo_backward`` takes; a caller that optimizes exponential
 coordinates converts with ``geometry.so3_exp_vjp``.  Depth gradients are
 gathered per pyramid level and lifted to the finest grid once per frame.
@@ -34,14 +36,13 @@ import numpy as np
 
 from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
 from .geometry import CameraIntrinsics
-# perfbench traces so3_exp under this module's name; the loss takes
-# rotation matrices and calls it nowhere.
-from .geometry import so3_exp  # noqa: F401
-from .imaging import laplacian_arr, pyramid_arr, pyramid_grad_arr
-# perfbench traces the samplers under this module's name; the loss
-# reaches them through the warp module.
-from .imaging import bilinear_grad_many, bilinear_many  # noqa: F401
+from .imaging import check_grids, laplacian_arr, pyramid_arr, pyramid_grad_arr
 from .warp import MIN_VALID_FRACTION, points, warp_and_sample, warp_vjp
+
+# perfbench traces these under this module's name; the loss reaches the
+# samplers through the warp module and calls so3_exp nowhere.
+from .geometry import so3_exp  # noqa: F401
+from .imaging import bilinear_grad_many, bilinear_many  # noqa: F401
 
 # Number of pyramid scales in the aggregate objective.
 NUM_SCALES = 4
@@ -72,7 +73,8 @@ class LossWeights:
 class Triplet:
     """Three sequential frames with per-frame inverse depth.
 
-    ``p21`` and ``p23`` are ``(R, t)`` pairs that map middle-frame points
+    ``images`` and ``inv_depths`` are three (H, W) gray and inverse-depth
+    arrays on one grid; ``p21`` and ``p23`` are ``(R, t)`` pairs that map middle-frame points
     into the first and third frames respectively (``Pose6D.rt`` gives one).
     """
 
@@ -84,9 +86,8 @@ class Triplet:
     def __post_init__(self):
         if len(self.images) != 3 or len(self.inv_depths) != 3:
             raise ValueError("a triplet needs exactly three frames")
-        shape = (self.images[0].height, self.images[0].width)
-        if any((f.height, f.width) != shape for f in (*self.images, *self.inv_depths)):
-            raise ShapeMismatch("triplet image and depth grids differ")
+        names = [f"{kind} {i}" for kind in ("image", "depth") for i in range(3)]
+        check_grids(dict(zip(names, (*self.images, *self.inv_depths))))
         for p in (self.p21, self.p23):
             if not isinstance(p, (tuple, list)) or [np.shape(a) for a in p] != [(3, 3), (3,)]:
                 raise ShapeMismatch("triplet poses must be pairs (R (3, 3), t (3,)), "
@@ -280,8 +281,8 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
     middle frame warped toward each outer one (using the outer depths
     and the exact inverse poses).
     """
-    img_pyrs = [pyramid_arr(img.gray(), NUM_SCALES) for img in t.images]
-    depth_pyrs = [pyramid_arr(d.values, NUM_SCALES) for d in t.inv_depths]
+    img_pyrs = [pyramid_arr(img, NUM_SCALES) for img in t.images]
+    depth_pyrs = [pyramid_arr(d, NUM_SCALES) for d in t.inv_depths]
     # Depth gradients per frame and pyramid level, finest first.
     g_levels = [[np.zeros(lv.shape) for lv in pyr] for pyr in depth_pyrs]
 

@@ -31,9 +31,8 @@ import numpy as np
 
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from .dvo import DvoSettings, solve_coarse_to_fine
-from .errors import DivergenceDetected, DvokitError, ShapeMismatch
+from .errors import DivergenceDetected, DvokitError, InvalidRaster, ShapeMismatch
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp
-from .imaging import InverseDepthMap
 from .losses import (
     LossWeights,
     Triplet,
@@ -67,11 +66,12 @@ class DepthParam:
 
     @staticmethod
     def from_inverse_depth(values):
-        """Logits whose decode reproduces ``values`` (clipped to range)."""
-        v = np.clip(
-            (np.asarray(values, dtype=float) - DEPTH_OFFSET) / DEPTH_SCALE,
-            1e-9, 1.0 - 1e-9,
-        )
+        """Logits whose decode reproduces ``values`` (clipped to range);
+        InvalidRaster for a NaN, which no clip can place."""
+        values = np.asarray(values, dtype=float)
+        if np.isnan(values).any():
+            raise InvalidRaster("initial inverse depth contains NaN")
+        v = np.clip((values - DEPTH_OFFSET) / DEPTH_SCALE, 1e-9, 1.0 - 1e-9)
         return DepthParam(np.log(v / (1.0 - v)))
 
     @staticmethod
@@ -167,16 +167,8 @@ class TrainTrace:
                 ["step", "total", "appearance", "prior", "mean_inv_depth", "gt_error"]
             )
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.step,
-                        f"{r.total:.17g}",
-                        f"{r.appearance:.17g}",
-                        f"{r.prior:.17g}",
-                        f"{r.mean_inv_depth:.17g}",
-                        f"{r.gt_error:.17g}",
-                    ]
-                )
+                values = (r.total, r.appearance, r.prior, r.mean_inv_depth, r.gt_error)
+                writer.writerow([r.step] + [f"{v:.17g}" for v in values])
 
 
 def _gt_abs_rel(pred_inv_depth, gt_inv_depth):
@@ -191,10 +183,11 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                   init_inv_depths=None) -> TrainTrace:
     """Optimize per-pixel inverse depth over a triplet.
 
-    ``images`` are the three frames; ``gt_poses = (p21, p23)`` is
-    required for ``fixed-pose-gt`` and used to score ``gt_error`` of the
-    middle frame when ``gt_inv_depth`` is given.  ``init_inv_depths``
-    overrides the default depth initialization (three rasters).
+    ``images`` are the three frames (``ImageBuffer``), taken once as gray
+    arrays before the first step; ``gt_poses = (p21, p23)`` is required
+    for ``fixed-pose-gt``.  ``gt_inv_depth`` (an ``InverseDepthMap``)
+    scores ``gt_error`` of the middle frame.  ``init_inv_depths``
+    overrides the default depth initialization (three arrays).
 
     Every ``DvokitError`` raised during the steps (``DivergenceDetected``
     when the loss turns non-finite, ``DegenerateOverlap``,
@@ -206,7 +199,8 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
     if cfg.mode == "fixed-pose-gt" and gt_poses is None:
         raise ValueError("fixed-pose-gt mode requires ground-truth poses")
     rng = np.random.default_rng(cfg.seed)
-    shape = (images[0].height, images[0].width)
+    grays = tuple(img.gray() for img in images)
+    shape = grays[0].shape
     if init_inv_depths is not None:
         logits = np.stack(
             [DepthParam.from_inverse_depth(d).logits for d in init_inv_depths]
@@ -222,18 +216,14 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
 
     records = []
     last_poses = (Pose6D.identity(), Pose6D.identity())
-    last_depths = None
+    loss_depths = None
     try:
         for step in range(cfg.steps):
             param = DepthParam(logits)
             raw = param.decode()
-            loss_depths = [
-                InverseDepthMap.from_array(
-                    normalize_inverse_depth(d) if cfg.normalize_depth else d
-                )
-                for d in raw
-            ]
-            last_depths = tuple(d.values for d in loss_depths)
+            loss_depths = tuple(
+                normalize_inverse_depth(d) if cfg.normalize_depth else d for d in raw
+            )
 
             pose_params = (
                 Pose6D.from_vector(pose_vec[:6]),
@@ -245,7 +235,7 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                 p21, p23 = gt_poses
             elif cfg.mode == "dvo-em":
                 p21, p23 = (
-                    solve_coarse_to_fine(images[1], loss_depths[1], images[s], k,
+                    solve_coarse_to_fine(grays[1], loss_depths[1], grays[s], k,
                                          Pose6D.identity(), cfg.dvo).pose
                     for s in (0, 2)
                 )
@@ -253,7 +243,7 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                 p21, p23 = pose_params
             else:
                 (p21, p23), tapes = zip(*(
-                    ddvo_forward(images[1], loss_depths[1], images[s], k, cfg.ddvo, init)
+                    ddvo_forward(grays[1], loss_depths[1], grays[s], k, cfg.ddvo, init)
                     for s, init in zip((0, 2), pose_params)
                 ))
             last_poses = (p21, p23)
@@ -262,10 +252,8 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
             else:
                 loss_poses = tuple((tape.R_final, tape.t_final) for tape in tapes)
 
-            bd = triplet_loss(
-                Triplet(tuple(images), tuple(loss_depths), *loss_poses), k, cfg.weights
-            )
-            mean_inv = float(np.mean([d.values.mean() for d in loss_depths]))
+            bd = triplet_loss(Triplet(grays, loss_depths, *loss_poses), k, cfg.weights)
+            mean_inv = float(np.mean([d.mean() for d in loss_depths]))
             gt_error = float("nan")
             if gt_inv_depth is not None:
                 gt_error = _gt_abs_rel(raw[1], gt_inv_depth.values)
@@ -276,19 +264,14 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
             if not np.isfinite(bd.total):
                 raise DivergenceDetected(f"loss became non-finite at step {step}")
 
-            grad_loss_depths = [np.asarray(g) for g in bd.grad_depths]
+            grad_loss_depths = list(bd.grad_depths)
             if tapes is not None:
                 for tape, seed in zip(tapes, (bd.grad_p21, bd.grad_p23)):
                     grad_loss_depths[1] = grad_loss_depths[1] + ddvo_backward(tape, seed)
-            if cfg.normalize_depth:
-                grad_raw = np.stack(
-                    [
-                        normalize_inverse_depth_vjp(raw[i], grad_loss_depths[i])
-                        for i in range(3)
-                    ]
-                )
-            else:
-                grad_raw = np.stack(grad_loss_depths)
+            grad_raw = np.stack([
+                normalize_inverse_depth_vjp(d, g) if cfg.normalize_depth else g
+                for d, g in zip(raw, grad_loss_depths)
+            ])
             grad_logits = grad_raw * param.decode_grad()
             logits, depth_state = adam_step(depth_state, logits, grad_logits)
             if train_pose_params:
@@ -299,9 +282,9 @@ def train_triplet(images, k: CameraIntrinsics, cfg: TrainConfig,
                 ])
                 pose_vec, pose_state = adam_step(pose_state, pose_vec, pose_grad)
     except DvokitError as err:
-        err.trace = TrainTrace(tuple(records), last_depths, last_poses,
+        err.trace = TrainTrace(tuple(records), loss_depths, last_poses,
                                diverged=isinstance(err, DivergenceDetected))
         raise
 
-    return TrainTrace(tuple(records), last_depths, last_poses)
+    return TrainTrace(tuple(records), loss_depths, last_poses)
 

@@ -18,7 +18,7 @@ from dvokit.cli import main
 from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
 from dvokit.geometry import Pose6D, so3_exp
-from dvokit.imaging import InverseDepthMap, downsample2_arr, pyramid_arr
+from dvokit.imaging import downsample2_arr, pyramid_arr
 from dvokit.losses import (
     LossWeights,
     Triplet,
@@ -85,7 +85,7 @@ def small_instance(rng):
     )
     pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
     ref, depth, src, _ = make_pair(spec, pose)
-    return ref, depth, src, spec.intrinsics
+    return ref.gray(), depth.values, src.gray(), spec.intrinsics
 
 
 def rel_err(analytic, numeric):
@@ -100,21 +100,19 @@ class TestSolverGradients:
         for _ in range(50):
             ref, depth, src, k = small_instance(rng)
             g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
-            direction = rng.normal(size=depth.values.shape)
+            direction = rng.normal(size=depth.shape)
             direction /= np.linalg.norm(direction)
             _, tape = ddvo_forward(ref, depth, src, k, settings)
             analytic = float(np.sum(ddvo_backward(tape, (g_t, g_R)) * direction))
             h = 1e-6
 
             def forward(values):
-                _, moved = ddvo_forward(
-                    ref, InverseDepthMap.from_array(values), src, k, settings
-                )
+                _, moved = ddvo_forward(ref, values, src, k, settings)
                 return float(g_t @ moved.t_final + np.sum(g_R * moved.R_final))
 
             numeric = (
-                forward(depth.values + h * direction)
-                - forward(depth.values - h * direction)
+                forward(depth + h * direction)
+                - forward(depth - h * direction)
             ) / (2.0 * h)
             worst = max(worst, rel_err(analytic, numeric))
         assert worst < 1e-3
@@ -136,25 +134,22 @@ class TestSolverGradients:
             p21 = bundled.random_small_motion(rng, 0.01, 0.3)
             p23 = bundled.random_small_motion(rng, 0.01, 0.3)
             data = make_triplet(spec, p21, p23)
-            images = data["images"]
+            images = tuple(img.gray() for img in data["images"])
             # Away from the photometric optimum: at the exact depths the L1
             # residuals sit on their kink and finite differences misbehave.
-            depths = tuple(
-                InverseDepthMap.from_array(1.1 * d.values)
-                for d in data["gt_inv_depths"]
-            )
+            depths = tuple(1.1 * d.values for d in data["gt_inv_depths"])
             k = data["intrinsics"]
             bd = triplet_loss(Triplet(images, depths, p21.rt(), p23.rt()), k)
-            direction = rng.normal(size=depths[1].values.shape)
+            direction = rng.normal(size=depths[1].shape)
             direction /= np.linalg.norm(direction)
             analytic = float(np.sum(np.asarray(bd.grad_depths[1]) * direction))
             h = 1e-6
 
             def at(values):
-                moved = (depths[0], InverseDepthMap.from_array(values), depths[2])
+                moved = (depths[0], values, depths[2])
                 return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k).total
 
-            base = depths[1].values
+            base = depths[1]
             numeric = (at(base + h * direction) - at(base - h * direction)) / (2 * h)
             worst = max(worst, rel_err(analytic, numeric))
         assert worst < 1e-4
@@ -182,13 +177,11 @@ class TestScaleAmbiguity:
     def test_rescaling_strictly_lowers_loss(self):
         # A random iterate (not an optimum) with a strictly positive prior.
         data = bundled.training_triplet()
-        images = data["images"]
+        images = tuple(img.gray() for img in data["images"])
         k = data["intrinsics"]
         rng = np.random.default_rng(3)
         depths = tuple(
-            InverseDepthMap.from_array(
-                d.values * rng.uniform(0.8, 1.2, size=d.values.shape)
-            )
+            d.values * rng.uniform(0.8, 1.2, size=d.values.shape)
             for d in data["gt_inv_depths"]
         )
         (R21, t21), (R23, t23) = (p.rt() for p in data["poses"])
@@ -198,7 +191,7 @@ class TestScaleAmbiguity:
         rescaled = triplet_loss(
             Triplet(
                 images,
-                tuple(InverseDepthMap.from_array(d.values * s) for d in depths),
+                tuple(d * s for d in depths),
                 (R21, t21 / s),
                 (R23, t23 / s),
             ),

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dvokit import bundled, fileio
 from dvokit import cli
 from dvokit.cli import main
+from dvokit.config import load_config
 from dvokit.geometry import Pose6D, pose_from_matrix
 from dvokit.imaging import ImageBuffer
 
@@ -14,9 +17,9 @@ def pair_files(tmp_path):
     ref = tmp_path / "ref.pgm"
     depth = tmp_path / "depth.pfm"
     src = tmp_path / "src.pgm"
-    fileio.write_pgm(ref, ref_img)
-    fileio.write_pfm(depth, ref_depth.values)
-    fileio.write_pgm(src, src_img)
+    fileio.write_pgm(ref, ImageBuffer(ref_img))
+    fileio.write_pfm(depth, ref_depth)
+    fileio.write_pgm(src, ImageBuffer(src_img))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"camera.fx = {k.fx}\ncamera.fy = {k.fy}\ncamera.cx = {k.cx}\ncamera.cy = {k.cy}\n")
     return ref, depth, src, pose, cfg
@@ -162,6 +165,36 @@ class TestGradcheck:
         main(["gradcheck", "--config", str(cfg), "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def loss_depth_row(seed):
+    """Worst error of gradcheck's loss-depth row at ``seed``, as the report
+    computes it: a fresh generator on the seed, the default instances."""
+    cfg = load_config(None)
+    rng = np.random.default_rng(seed)
+    return max(cli._loss_depth_error(rng, cfg) for _ in range(cfg.gradcheck.instances))
+
+
+class TestLossDepthProbe:
+    """The loss-depth row differences the loss total along a direction
+    with a share of the gradient in it, so its pass holds at every seed."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_passes_at_every_seed(self, seed):
+        assert loss_depth_row(seed) < load_config(None).gradcheck.loss_tol
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_catches_a_dropped_prior_term(self, seed, monkeypatch):
+        # The gradient of the loss without its smoothness prior, checked
+        # against the full loss.
+        real = cli.triplet_loss
+
+        def prior_dropped(triplet, k, weights):
+            wrong = real(triplet, k, replace(weights, lambda_prior=0.0))
+            return replace(real(triplet, k, weights), grad_depths=wrong.grad_depths)
+
+        monkeypatch.setattr(cli, "triplet_loss", prior_dropped)
+        assert loss_depth_row(seed) > 0.1
 
 
 DEMO_CFG = (

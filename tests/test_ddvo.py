@@ -7,7 +7,6 @@ from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
 from dvokit.errors import TapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D
-from dvokit.imaging import ImageBuffer, InverseDepthMap
 from dvokit.losses import LossWeights
 from dvokit.synth import SceneSpec, make_pair
 from dvokit.training import TrainConfig
@@ -28,7 +27,7 @@ def small_instance(seed, width=16, height=16):
     w *= 0.004 / np.linalg.norm(w)
     pose = Pose6D(t, w)
     ref, depth, src, _ = make_pair(spec, pose)
-    return ref, depth, src, spec.intrinsics, pose
+    return ref.gray(), depth.values, src.gray(), spec.intrinsics, pose
 
 
 def random_seed(rng):
@@ -46,10 +45,10 @@ def fd_directional(ref, depth, src, k, settings, g, delta, h=1e-5):
     """Central-difference directional derivative of g . (R, t)(d)."""
 
     def run(values):
-        _, tape = ddvo_forward(ref, InverseDepthMap.from_array(values), src, k, settings)
+        _, tape = ddvo_forward(ref, values, src, k, settings)
         return seed_dot(g, tape.R_final, tape.t_final)
 
-    return (run(depth.values + h * delta) - run(depth.values - h * delta)) / (2.0 * h)
+    return (run(depth + h * delta) - run(depth - h * delta)) / (2.0 * h)
 
 
 def full_sweep(tape, g, monkeypatch):
@@ -114,7 +113,8 @@ class TestForward:
     def test_zero_motion_identity(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=2, width=32, height=24)
         ref, depth, src, _ = make_pair(spec, Pose6D.identity())
-        pose, tape = ddvo_forward(ref, depth, src, spec.intrinsics, DdvoSettings(unroll_iters=1))
+        pose, tape = ddvo_forward(ref.gray(), depth.values, src.gray(), spec.intrinsics,
+                                  DdvoSettings(unroll_iters=1))
         assert np.max(np.abs(pose.as_vector())) < 1e-10
         assert len(tape) == 1
 
@@ -160,8 +160,8 @@ class TestBackward:
     def test_constant_images_zero_gradient(self):
         # Explicit damping keeps the system solvable on a textureless pair;
         # every gradient path then carries a zero factor.
-        img = ImageBuffer(np.full((16, 16), 0.5))
-        depth = InverseDepthMap.from_array(np.full((16, 16), 0.4))
+        img = np.full((16, 16), 0.5)
+        depth = np.full((16, 16), 0.4)
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
         _, tape = ddvo_forward(img, depth, img, k, DdvoSettings(unroll_iters=2, damping=1e-3))
         grad = ddvo_backward(tape, (np.ones(3), np.arange(9.0).reshape(3, 3)))
@@ -173,7 +173,7 @@ class TestBackward:
         zero = (np.zeros(3), np.zeros((3, 3)))
         for s in (DdvoSettings(unroll_iters=2), DdvoSettings(unroll_iters=6, levels=2)):
             _, tape = ddvo_forward(ref, depth, src, k, s)
-            assert np.array_equal(ddvo_backward(tape, zero), np.zeros(depth.values.shape))
+            assert np.array_equal(ddvo_backward(tape, zero), np.zeros(depth.shape))
 
     def test_bad_seed_length(self):
         ref, depth, src, k, _ = small_instance(3)
@@ -191,7 +191,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         for _ in range(5):
             g = random_seed(rng)
-            delta = rng.normal(size=depth.values.shape)
+            delta = rng.normal(size=depth.shape)
             fd = fd_directional(ref, depth, src, k, s, g, delta)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             assert abs(fd - analytic) <= 1e-3 * max(abs(fd), 1e-12)
@@ -208,7 +208,7 @@ class TestBackward:
             s = DdvoSettings(unroll_iters=2, levels=levels)
             _, tape = ddvo_forward(ref, depth, src, k, s)
             g = random_seed(rng)
-            delta = rng.normal(size=depth.values.shape)
+            delta = rng.normal(size=depth.shape)
             fd = fd_directional(ref, depth, src, k, s, g, delta, h=1e-6)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             rel = abs(fd - analytic) / max(abs(fd), 1e-12)
@@ -226,9 +226,9 @@ class TestBackward:
         h = 1e-5
         for _ in range(3):
             g = random_seed(rng)
-            delta = rng.normal(size=depth.values.shape)
-            plus = replay_frozen_jacobian(tape, depth.values + h * delta).rt()
-            minus = replay_frozen_jacobian(tape, depth.values - h * delta).rt()
+            delta = rng.normal(size=depth.shape)
+            plus = replay_frozen_jacobian(tape, depth + h * delta).rt()
+            minus = replay_frozen_jacobian(tape, depth - h * delta).rt()
             fd = (seed_dot(g, *plus) - seed_dot(g, *minus)) / (2.0 * h)
             analytic = float(np.sum(ddvo_backward(tape, g) * delta))
             assert abs(fd - analytic) <= 1e-3 * max(abs(fd), 1e-12)
@@ -246,7 +246,7 @@ class TestBackward:
         ref, depth, src, k, _ = small_instance(7)
         s = DdvoSettings(unroll_iters=2, levels=2)
         pose, tape = ddvo_forward(ref, depth, src, k, s)
-        replayed = replay_frozen_jacobian(tape, depth.values)
+        replayed = replay_frozen_jacobian(tape, depth)
         assert np.array_equal(pose.as_vector(), replayed.as_vector())
 
     def test_replay_starts_from_the_forward_init(self):
@@ -255,7 +255,7 @@ class TestBackward:
         pose, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2, levels=2),
                                   init)
         assert np.array_equal(tape.levels[0].iters[0].R, init.rt()[0])
-        replayed = replay_frozen_jacobian(tape, depth.values)
+        replayed = replay_frozen_jacobian(tape, depth)
         assert np.array_equal(pose.as_vector(), replayed.as_vector())
 
     def test_backward_determinism(self):
@@ -279,16 +279,11 @@ class TestDenseJacobian:
         src = np.clip(src, 0.0, 1.0)
         depth = 0.3 + 0.05 * rng.uniform(size=(8, 8))
         k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
-        return (
-            ImageBuffer(ref),
-            InverseDepthMap.from_array(depth),
-            ImageBuffer(src),
-            k,
-        )
+        return ref, depth, src, k
 
     def test_constant_images_zero_matrix(self):
-        img = ImageBuffer(np.full((8, 8), 0.5))
-        depth = InverseDepthMap.from_array(np.full((8, 8), 0.4))
+        img = np.full((8, 8), 0.5)
+        depth = np.full((8, 8), 0.4)
         k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
         jac = pose_depth_jacobian(
             img, depth, img, k, DdvoSettings(unroll_iters=1, damping=1e-3)
@@ -302,15 +297,11 @@ class TestDenseJacobian:
         h = 1e-5
         fd = np.zeros_like(jac)
         for i in range(64):
-            values = depth.values.copy().ravel()
+            values = depth.copy().ravel()
             values[i] += h
-            _, plus = ddvo_forward(
-                ref, InverseDepthMap.from_array(values.reshape(8, 8)), src, k, s
-            )
+            _, plus = ddvo_forward(ref, values.reshape(8, 8), src, k, s)
             values[i] -= 2.0 * h
-            _, minus = ddvo_forward(
-                ref, InverseDepthMap.from_array(values.reshape(8, 8)), src, k, s
-            )
+            _, minus = ddvo_forward(ref, values.reshape(8, 8), src, k, s)
             fd[:, i] = (pose_entries(plus) - pose_entries(minus)) / (2.0 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(jac - fd)) < 1e-3 * scale
@@ -394,7 +385,7 @@ class TestSeedContraction:
             g = random_seed(rng)
             grad = ddvo_backward(tape, g)
             assert not np.array_equal(grad, full_sweep(tape, g, monkeypatch))
-            delta = rng.normal(size=depth.values.shape)
+            delta = rng.normal(size=depth.shape)
             fd = fd_directional(ref, depth, src, k, s, g, delta, h=1e-7)
             analytic = float(np.sum(grad * delta))
             assert abs(fd - analytic) <= 1e-3 * max(abs(fd), 1e-12)

@@ -6,7 +6,7 @@ from dvokit import dvo
 from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_fine
 from dvokit.errors import ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
-from dvokit.imaging import ImageBuffer, InverseDepthMap, bilinear_many
+from dvokit.imaging import bilinear_many
 from dvokit.synth import SceneSpec, make_scene, pixel_grid
 from dvokit.warp import points
 
@@ -26,10 +26,16 @@ def solve_level(ref_img, ref_depth, src_img, k, init, settings):
     return solve_coarse_to_fine(ref_img, ref_depth, src_img, k, init, settings)
 
 
+def scene_arrays(spec):
+    """``make_scene(spec)`` as the solvers take it: gray image and inverse depth."""
+    img, depth = make_scene(spec)
+    return img.gray(), depth.values
+
+
 class TestPrecomputeReferenceSystem:
     def test_constant_image_raises(self):
-        img = ImageBuffer(np.full((16, 16), 0.5))
-        depth = InverseDepthMap.from_array(np.full((16, 16), 0.4))
+        img = np.full((16, 16), 0.5)
+        depth = np.full((16, 16), 0.4)
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
         with pytest.raises(SingularSystem):
             solve_coarse_to_fine(
@@ -74,7 +80,7 @@ class TestPrecomputeReferenceSystem:
 class TestSolveLevel:
     def test_zero_motion(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=48, height=40)
-        img, depth = make_scene(spec)
+        img, depth = scene_arrays(spec)
         res = solve_level(img, depth, img, spec.intrinsics, Pose6D.identity(), DvoSettings(levels=1))
         assert np.max(np.abs(res.pose.as_vector())) < 1e-10
         assert res.final_residual < 1e-20
@@ -96,13 +102,13 @@ class TestSolveLevel:
             kind="textured-plane", texture_seed=6, width=w, height=h,
             depth_range=(z0, z0),
         )
-        ref_img, ref_depth = make_scene(spec)
-        src = np.roll(ref_img.gray(), 2, axis=1)
+        ref_img, ref_depth = scene_arrays(spec)
+        src = np.roll(ref_img, 2, axis=1)
         k = spec.intrinsics
         tx = 2.0 * z0 / k.fx  # d * tx * fx = 2 pixels
         p_star = Pose6D([tx, 0.0, 0.0], np.zeros(3))
         res = solve_level(
-            ref_img, ref_depth, ImageBuffer(src), k, p_star, DvoSettings(levels=1)
+            ref_img, ref_depth, src, k, p_star, DvoSettings(levels=1)
         )
         assert res.iterations_used == (1,)
         assert np.array_equal(res.pose.as_vector(), p_star.as_vector())
@@ -145,7 +151,7 @@ class TestCoarseToFine:
 
     def test_zero_motion_any_levels(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=64, height=48)
-        img, depth = make_scene(spec)
+        img, depth = scene_arrays(spec)
         for levels in (1, 2, 3):
             res = solve_coarse_to_fine(
                 img, depth, img, spec.intrinsics, Pose6D.identity(), DvoSettings(levels=levels)
@@ -224,7 +230,7 @@ class TestStopReasons:
 
     def test_converged_at_optimum(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=48, height=40)
-        img, depth = make_scene(spec)
+        img, depth = scene_arrays(spec)
         res = solve_coarse_to_fine(img, depth, img, spec.intrinsics, Pose6D.identity(),
                                    DvoSettings(levels=2))
         assert res.stop_reasons == ("converged", "converged")
@@ -250,9 +256,10 @@ class TestValidation:
 
     def test_grid_mismatch(self):
         spec = SceneSpec(kind="textured-plane", texture_seed=0, width=32, height=24)
-        img, depth = make_scene(spec)
-        small = ImageBuffer(img.gray()[:16, :16])
-        with pytest.raises(ShapeMismatch):
-            solve_coarse_to_fine(
-                img, depth, small, spec.intrinsics, Pose6D.identity(), DvoSettings()
-            )
+        img, depth = scene_arrays(spec)
+        for ref, d, src in ((img, depth, img[:16, :16]), (img, depth[:, :-1], img),
+                            (img[..., None], depth, img)):
+            with pytest.raises(ShapeMismatch):
+                solve_coarse_to_fine(
+                    ref, d, src, spec.intrinsics, Pose6D.identity(), DvoSettings()
+                )

@@ -3,7 +3,6 @@ import pytest
 
 from dvokit.errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp
-from dvokit.imaging import ImageBuffer, InverseDepthMap
 from dvokit.losses import (
     LossBreakdown,
     LossWeights,
@@ -30,7 +29,8 @@ def consistent_triplet(seed=5, width=32, height=32):
     p21 = Pose6D([-0.05, 0.0, 0.02], [0.0, 0.004, 0.0])
     p23 = Pose6D([0.05, 0.0, -0.02], [0.0, -0.003, 0.001])
     data = make_triplet(spec, p21, p23)
-    t = Triplet(data["images"], data["gt_inv_depths"], p21.rt(), p23.rt())
+    t = Triplet(tuple(img.gray() for img in data["images"]),
+                tuple(d.values for d in data["gt_inv_depths"]), p21.rt(), p23.rt())
     return t, data["intrinsics"]
 
 
@@ -218,9 +218,9 @@ class TestTripletLoss:
     def test_static_triplet_zero(self):
         h, w = 24, 32
         rng = np.random.default_rng(8)
-        img = ImageBuffer(rng.uniform(0.0, 1.0, size=(h, w)))
+        img = rng.uniform(0.0, 1.0, size=(h, w))
         y, x = np.mgrid[0:h, 0:w].astype(float)
-        d = InverseDepthMap.from_array(0.3 + 0.001 * x + 0.002 * y)
+        d = 0.3 + 0.001 * x + 0.002 * y
         t = Triplet((img, img, img), (d, d, d), Pose6D.identity().rt(), Pose6D.identity().rt())
         k = CameraIntrinsics(float(w), float(w), (w - 1) / 2.0, (h - 1) / 2.0)
         bd = triplet_loss(t, k)
@@ -241,7 +241,7 @@ class TestTripletLoss:
         s = 0.7
         scaled = Triplet(
             t.images,
-            tuple(InverseDepthMap.from_array(d.values * s) for d in t.inv_depths),
+            tuple(d * s for d in t.inv_depths),
             (t.p21[0], t.p21[1] / s),
             (t.p23[0], t.p23[1] / s),
         )
@@ -257,10 +257,7 @@ class TestTripletLoss:
         t, k = consistent_triplet()
 
         def normalized_total(s):
-            depths = tuple(
-                InverseDepthMap.from_array(normalize_inverse_depth(d.values * s))
-                for d in t.inv_depths
-            )
+            depths = tuple(normalize_inverse_depth(d * s) for d in t.inv_depths)
             return triplet_loss(Triplet(t.images, depths, t.p21, t.p23), k).total
 
         base = normalized_total(1.0)
@@ -275,9 +272,7 @@ class TestTripletLoss:
         # derivatives are well above the finite-difference noise floor.
         t = Triplet(
             base.images,
-            tuple(
-                InverseDepthMap.from_array(d.values * 1.1) for d in base.inv_depths
-            ),
+            tuple(d * 1.1 for d in base.inv_depths),
             base.p21,
             base.p23,
         )
@@ -287,11 +282,11 @@ class TestTripletLoss:
         # the step contribute an O(h) kink error to the finite difference.
         h = 1e-7
         for i in range(3):
-            delta = rng.normal(size=t.inv_depths[i].values.shape)
+            delta = rng.normal(size=t.inv_depths[i].shape)
 
             def total(sign):
                 depths = list(t.inv_depths)
-                depths[i] = InverseDepthMap.from_array(depths[i].values + sign * h * delta)
+                depths[i] = depths[i] + sign * h * delta
                 return triplet_loss(Triplet(t.images, tuple(depths), t.p21, t.p23), k).total
 
             fd = (total(1.0) - total(-1.0)) / (2.0 * h)
@@ -316,12 +311,15 @@ class TestTripletLoss:
             LossWeights(lambda_prior=-1.0)
         with pytest.raises(ValueError):
             LossWeights(ssim_weight=1.5)
-        img = ImageBuffer(np.full((8, 8), 0.5))
-        d_small = InverseDepthMap.from_array(np.full((4, 4), 0.5))
-        d = InverseDepthMap.from_array(np.full((8, 8), 0.5))
+        img = np.full((8, 8), 0.5)
+        d_small = np.full((4, 4), 0.5)
+        d = np.full((8, 8), 0.5)
         identity = Pose6D.identity().rt()
         with pytest.raises(ShapeMismatch):
             Triplet((img, img, img), (d, d, d_small), identity, identity)
+        # An (H, W, 1) raster is not an (H, W) array.
+        with pytest.raises(ShapeMismatch):
+            Triplet((img, img[..., None], img), (d, d, d), identity, identity)
         # A Pose6D is not an (R, t) pair.
         with pytest.raises(ShapeMismatch):
             Triplet((img, img, img), (d, d, d), Pose6D.identity(), identity)

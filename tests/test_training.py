@@ -5,9 +5,9 @@ from dvokit.bundled import training_triplet
 from dvokit.ddvo import DdvoSettings
 from dvokit.dvo import DvoSettings
 from dvokit import training
-from dvokit.errors import DegenerateOverlap, ShapeMismatch, SingularSystem
+from dvokit.errors import DegenerateOverlap, InvalidRaster, ShapeMismatch, SingularSystem
 from dvokit.geometry import Pose6D
-from dvokit.imaging import ImageBuffer, InverseDepthMap
+from dvokit.imaging import ImageBuffer
 from dvokit.training import (
     AdamState,
     DepthParam,
@@ -118,6 +118,13 @@ class TestTrainTriplet:
                 assert r.total >= 0.0
                 assert np.isfinite(r.gt_error)
 
+    def test_nan_initial_depth_is_an_invalid_raster(self, clip):
+        images, k, gt_poses, gt_d = clip
+        init = [gt_d.values.copy() for _ in range(3)]
+        init[1][3, 4] = np.nan
+        with pytest.raises(InvalidRaster):
+            train_triplet(images, k, short_cfg("dvo-em"), init_inv_depths=init)
+
     def test_fixed_pose_needs_gt(self, clip):
         images, k, _, _ = clip
         with pytest.raises(ValueError):
@@ -170,14 +177,15 @@ class TestTrainTriplet:
 
         images, k, _, _ = clip
         trace = train_triplet(images, k, short_cfg("pose-param", normalize_depth=False))
-        depths = tuple(InverseDepthMap.from_array(v) for v in trace.final_inv_depths)
+        grays = tuple(img.gray() for img in images)
+        depths = trace.final_inv_depths
         (R21, t21), (R23, t23) = (p.rt() for p in trace.final_poses)
-        base = triplet_loss(Triplet(tuple(images), depths, (R21, t21), (R23, t23)), k)
+        base = triplet_loss(Triplet(grays, depths, (R21, t21), (R23, t23)), k)
         assert sum(base.prior_per_scale) > 0.0
         s = 0.5
         shrunk = Triplet(
-            tuple(images),
-            tuple(InverseDepthMap.from_array(v * s) for v in trace.final_inv_depths),
+            grays,
+            tuple(v * s for v in depths),
             (R21, t21 / s),
             (R23, t23 / s),
         )
