@@ -27,12 +27,12 @@ Paths (b) and (c) can be switched off (``grad_through_jacobian=False``)
 to measure their contribution; path (a) is always active.
 
 The forward pass takes the (H, W) arrays ``dvo.solve_coarse_to_fine``
-takes, and it and the frozen-Jacobian replay run the Gauss-Newton
-pieces of ``dvo`` (``level_system``, ``gauss_newton_step``,
-``update_pose``); this module adds the tape and its reverse pass.  The
-tape keeps each level's system (points, J, its depth factor A and the
-damping) and each iteration's damped normal matrix H and step rotation,
-so the backward pass rebuilds none of them.
+takes and walks its levels (``dvo.level_systems``).  One unroll takes
+``dvo``'s Gauss-Newton steps on each level and records the tape; the
+frozen-Jacobian replay runs it over the tape's levels with new depths in
+the warp.  The tape keeps each level's system (points, J, its depth
+factor A and the damping) and each iteration's damped normal matrix H
+and step rotation, so the backward pass rebuilds none of them.
 
 All internal pose state is kept in matrix form (R, t); exponential
 coordinates appear only at the pose update deltas and at the returned
@@ -52,11 +52,11 @@ from .dvo import (
     LevelSystem,
     gauss_newton_step,
     in_view_weights,
-    level_system,
+    level_systems,
     update_pose,
 )
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp, so3_log, so3_tangent
-from .imaging import check_grids, pyramid_arr, pyramid_grad_arr
+from .imaging import pyramid_arr, pyramid_grad_arr
 from .warp import warp_and_sample, warp_vjp
 
 # perfbench traces these under this module's name; the solver reaches them
@@ -133,37 +133,30 @@ class DdvoTape:
         return sum(len(lv.iters) for lv in self.levels)
 
 
+def _unroll(levels, R, t, iters):
+    """Take ``iters`` Gauss-Newton steps on each of ``levels``, the
+    ``(src_gray, k, system)`` triples of ``dvo.level_systems``, from
+    ``(R, t)``; returns the final ``(R, t)`` and the tape's level records."""
+    records = []
+    for src_gray, k, system in levels:
+        trail = []
+        for _ in range(iters):
+            sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
+            delta, H = gauss_newton_step(system, sampled, in_view_weights(mask))
+            R_next, t_next, Rd = update_pose(delta, R, t)
+            trail.append(_IterRecord(R, t, H, delta, Rd))
+            R, t = R_next, t_next
+        records.append(_LevelRecord(src_gray, k, system, tuple(trail)))
+    return R, t, tuple(records)
+
+
 def ddvo_forward(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
                  settings: DdvoSettings, init: Pose6D = Pose6D.identity()):
     """Run the fixed unrolled solve on (H, W) arrays from ``init``;
     returns ``(pose, tape)``."""
-    check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
-    ref_pyr = pyramid_arr(ref_gray, settings.levels)
-    src_pyr = pyramid_arr(src_gray, settings.levels)
-    depth_pyr = pyramid_arr(ref_depth, settings.levels)
-
-    R, t = init.rt()
-    level_records = []
-    for lv in reversed(range(settings.levels)):
-        src_gray = src_pyr[lv]
-        k_lv = k.at_level(lv)
-        system = level_system(ref_pyr[lv], depth_pyr[lv], k_lv, settings.damping)
-        iters = []
-        for _ in range(settings.unroll_iters):
-            sampled, mask = warp_and_sample(src_gray, system.X, R, t, k_lv)
-            delta, H = gauss_newton_step(system, sampled, in_view_weights(mask))
-            R_next, t_next, Rd = update_pose(delta, R, t)
-            iters.append(_IterRecord(R, t, H, delta, Rd))
-            R, t = R_next, t_next
-        level_records.append(_LevelRecord(src_gray, k_lv, system, tuple(iters)))
-
-    tape = DdvoTape(
-        settings=settings,
-        levels=tuple(level_records),
-        R_final=R,
-        t_final=t,
-    )
-    return Pose6D(t, so3_log(R)), tape
+    walk = level_systems(ref_gray, ref_depth, src_gray, k, settings.levels, settings.damping)
+    R, t, levels = _unroll(walk, *init.rt(), settings.unroll_iters)
+    return Pose6D(t, so3_log(R)), DdvoTape(settings, levels, R, t)
 
 
 def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
@@ -266,14 +259,11 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     """
     settings = tape.settings
     depth_pyr = pyramid_arr(np.asarray(depth_values, dtype=float), settings.levels)
+    # Tape levels run coarsest first, pyramid levels finest first.
+    walk = (
+        (lv.src_gray, lv.k, lv.system._replace(X=np.vstack((lv.system.X[:3], d.ravel()))))
+        for lv, d in zip(tape.levels, reversed(depth_pyr))
+    )
     first = tape.levels[0].iters[0]
-    R, t = first.R, first.t
-    for i, level in enumerate(tape.levels):
-        X = level.system.X.copy()
-        X[3] = depth_pyr[settings.levels - 1 - i].ravel()
-        for _ in range(settings.unroll_iters):
-            sampled, mask = warp_and_sample(level.src_gray, X, R, t, level.k)
-            delta, _ = gauss_newton_step(level.system, sampled, in_view_weights(mask))
-            R, t, _ = update_pose(delta, R, t)
+    R, t, _ = _unroll(walk, first.R, first.t, settings.unroll_iters)
     return Pose6D(t, so3_log(R))
-

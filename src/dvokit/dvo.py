@@ -10,8 +10,8 @@ enters (``fileio``, ``synth``, the CLI), which hand over
 solver comes in three pieces that the unrolled solver in ``ddvo`` and
 its frozen-Jacobian replay share:
 
-* ``level_system`` builds the Jacobian once per level on the reference
-  image, with its damping;
+* ``level_systems`` walks the pyramid levels, building each level's
+  Jacobian once on the reference image, with its damping;
 * ``gauss_newton_step`` re-solves only the 6x6 weighted normal equations
   per iteration, so that masked-out pixels leave the system entirely (a
   strengthening of re-using a fixed pseudo-inverse, cheap because the
@@ -22,7 +22,7 @@ its frozen-Jacobian replay share:
 Each caller warps the source itself and hands the samples to the step.
 
 ``solve_coarse_to_fine`` is the one DVO entry point.  It runs
-``solve_level_arrays`` on each level, coarsest first, hands each level's
+``solve_level_arrays`` on each level of the walk, hands each level's
 ``(R, t)`` to the next, and builds the ``DvoResult`` (and its ``Pose6D``)
 once, at the end.
 
@@ -152,19 +152,27 @@ def build_jacobian(ref_gray, X, k: CameraIntrinsics):
     return J, A
 
 
-def level_system(ref_gray, depth, k: CameraIntrinsics, damping) -> LevelSystem:
-    """Jacobian and damping of one level; ``damping=None`` picks the default.
+def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, damping):
+    """Yield ``(src_gray, k_level, LevelSystem)`` per level, coarsest first.
 
-    Raises SingularSystem when the damped normal equations are numerically
-    singular, which signals an untextured reference image.
+    Checks the grids and builds the pyramids once; each level's Jacobian
+    and damping (``damping=None`` picks the default) are built when the
+    walk reaches it.  Raises SingularSystem when a level's damped normal
+    equations are numerically singular (an untextured reference image).
     """
-    X = points(k, depth)
-    J, A = build_jacobian(ref_gray, X, k)
-    lam = damping if damping is not None else DAMPING_COEFF * np.sum(J * J) / 6.0
-    damp = lam * np.eye(6)
-    if not _well_conditioned(J.T @ J + damp):
-        raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-    return LevelSystem(X, J, A, damp, ref_gray.ravel())
+    check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
+    ref_pyr = pyramid_arr(ref_gray, levels)
+    src_pyr = pyramid_arr(src_gray, levels)
+    depth_pyr = pyramid_arr(ref_depth, levels)
+    for level in reversed(range(levels)):
+        k_level = k.at_level(level)
+        X = points(k_level, depth_pyr[level])
+        J, A = build_jacobian(ref_pyr[level], X, k_level)
+        lam = damping if damping is not None else DAMPING_COEFF * np.sum(J * J) / 6.0
+        damp = lam * np.eye(6)
+        if not _well_conditioned(J.T @ J + damp):
+            raise SingularSystem("reference image lacks texture for a 6-DoF solve")
+        yield src_pyr[level], k_level, LevelSystem(X, J, A, damp, ref_pyr[level].ravel())
 
 
 def in_view_weights(mask):
@@ -220,15 +228,14 @@ def _mean_sq(ref_flat, sampled, wvec):
     return float(np.sum(r * r) / np.sum(wvec))
 
 
-def solve_level_arrays(ref_gray, depth, src_gray, k, R, t, settings: DvoSettings):
-    """Single-level Gauss-Newton solve on bare arrays from the pose ``(R, t)``.
+def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSettings):
+    """Single-level Gauss-Newton solve of ``system`` from the pose ``(R, t)``.
 
     Returns ``(R, t, residuals, reason, valid_fraction)``: the pose the
     level ends at, the mean squared residual before each step taken and,
     last, at that pose, the rule that ended the level (see the module
     docstring), and the in-view fraction at the end.
     """
-    system = level_system(ref_gray, depth, k, settings.damping)
     tol = settings.residual_rel_tol
     residuals = []
     for _ in range(settings.max_iters_per_level):
@@ -264,16 +271,13 @@ def solve_coarse_to_fine(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
     """Coarse-to-fine solve on (H, W) arrays; each level warm-starts the
     next finer one from its ``(R, t)``.  ``DvoSettings(levels=1)`` solves
     the finest level alone."""
-    check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
-    ref_pyr = pyramid_arr(ref_gray, settings.levels)
-    src_pyr = pyramid_arr(src_gray, settings.levels)
-    depth_pyr = pyramid_arr(ref_depth, settings.levels)
     R, t = init.rt()
     iters, history, reasons = [], [], []
-    for level in reversed(range(settings.levels)):
+    for src_level, k_level, system in level_systems(
+        ref_gray, ref_depth, src_gray, k, settings.levels, settings.damping
+    ):
         R, t, residuals, reason, valid_fraction = solve_level_arrays(
-            ref_pyr[level], depth_pyr[level], src_pyr[level],
-            k.at_level(level), R, t, settings,
+            system, src_level, k_level, R, t, settings
         )
         iters.append(len(residuals) - 1)
         history.extend(residuals)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDepth, LengthMismatch, NoValidPixels, ShapeMismatch
+from .geometry import pose_from_matrix
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,6 @@ class Trajectory:
 
     @staticmethod
     def from_matrices(mats):
-        from .geometry import pose_from_matrix
-
         return Trajectory(tuple(pose_from_matrix(m) for m in mats))
 
 

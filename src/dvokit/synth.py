@@ -165,9 +165,9 @@ def _intersect_rays(spec: SceneSpec, p: Pose6D, dirs):
     a = dirs @ R  # R^T applied to each direction
     b = -(R.T @ p.t)
     depth = _height_field(spec)
+    near, far = spec.depth_range
 
     if spec.kind == "two-plane":
-        near, far = spec.depth_range
         best_lam = None
         best_uv = None
         best_score = None
@@ -191,14 +191,11 @@ def _intersect_rays(spec: SceneSpec, p: Pose6D, dirs):
         lam = np.where(valid, best_lam, 1.0)
         return lam, best_uv[0], best_uv[1], valid
 
-    z0 = depth(0.0, 0.0) if spec.kind == "textured-plane" else None
-    if spec.kind == "textured-plane":
-        lam = (float(z0) - b[2]) / a[..., 2]
-    else:
+    # The mean depth: the plane's depth, and the height field's first iterate.
+    lam = (0.5 * (near + far) - b[2]) / a[..., 2]
+    if spec.kind != "textured-plane":
         # Fixed-point iteration lam <- (z(u(lam), v(lam)) - b_z) / a_z.
         # Contraction factor ~ relief slope / mean depth, far below 1.
-        near, far = spec.depth_range
-        lam = (0.5 * (near + far) - b[2]) / a[..., 2]
         for _ in range(60):
             z_ref = lam * a[..., 2] + b[2]
             u = (lam * a[..., 0] + b[0]) / z_ref

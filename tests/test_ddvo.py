@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,15 @@ class TestBackward:
                      (np.zeros((3, 3)), np.zeros(3)), (np.zeros(3),)):
             with pytest.raises(TapeMismatch):
                 ddvo_backward(tape, seed)
+
+    def test_tape_short_of_the_unroll(self):
+        ref, depth, src, k, _ = small_instance(3)
+        _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2, levels=2))
+        coarse, fine = tape.levels
+        seed = random_seed(np.random.default_rng(0))
+        for levels in ((coarse,), (coarse, replace(fine, iters=fine.iters[:-1]))):
+            with pytest.raises(TapeMismatch, match="does not cover the configured unroll"):
+                ddvo_backward(replace(tape, levels=levels), seed)
 
     def test_finite_difference_single_instance(self):
         ref, depth, src, k, _ = small_instance(4)

@@ -3,6 +3,7 @@ import pytest
 
 from dvokit.bundled import large_motion_pair, small_motion_pair
 from dvokit import dvo
+from dvokit.ddvo import DdvoSettings, ddvo_forward
 from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_fine
 from dvokit.errors import ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
@@ -259,7 +260,10 @@ class TestValidation:
         img, depth = scene_arrays(spec)
         for ref, d, src in ((img, depth, img[:16, :16]), (img, depth[:, :-1], img),
                             (img[..., None], depth, img)):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ShapeMismatch) as dvo_error:
                 solve_coarse_to_fine(
                     ref, d, src, spec.intrinsics, Pose6D.identity(), DvoSettings()
                 )
+            with pytest.raises(ShapeMismatch) as ddvo_error:
+                ddvo_forward(ref, d, src, spec.intrinsics, DdvoSettings())
+            assert str(ddvo_error.value) == str(dvo_error.value)
