@@ -42,7 +42,7 @@ def random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5):
 def solver_inputs(spec, pose):
     """``(ref_gray, ref_depth, src_gray, pose, k)``: a rendered pair as the
     (H, W) arrays the solvers take, its true pose and its camera."""
-    ref_img, ref_depth, src_img, _ = make_pair(spec, pose)
+    ref_img, ref_depth, src_img = make_pair(spec, pose)
     return ref_img.gray(), ref_depth.values, src_img.gray(), pose, spec.intrinsics
 
 
@@ -95,16 +95,19 @@ def training_spec(width=80, height=64):
     )
 
 
-def training_triplet(width=80, height=64, translation_frac=0.05):
-    """Bundled three-frame clip with ground truth for the trainers."""
-    spec = training_spec(width, height)
-    step = translation_frac * SCENE_DEPTH
-    p21 = Pose6D(np.array([-step, 0.0, 0.015 * SCENE_DEPTH]), np.array([0.0, 0.006, 0.0]))
-    p23 = Pose6D(np.array([step, 0.0, -0.012 * SCENE_DEPTH]), np.array([0.0, -0.005, 0.002]))
+def training_triplet(spec=None, translation_frac=0.05):
+    """Three-frame clip with ground truth for the trainers: the bundled
+    clip, or the same camera path over ``spec``, its steps scaled by the
+    scene's mean depth."""
+    spec = training_spec() if spec is None else spec
+    mean_depth = float(np.mean(spec.depth_range))
+    step = translation_frac * mean_depth
+    p21 = Pose6D(np.array([-step, 0.0, 0.015 * mean_depth]), np.array([0.0, 0.006, 0.0]))
+    p23 = Pose6D(np.array([step, 0.0, -0.012 * mean_depth]), np.array([0.0, -0.005, 0.002]))
     return make_triplet(spec, p21, p23)
 
 
-def large_motion_triplet(width=80, height=64):
+def large_motion_triplet():
     """Clip whose baseline defeats finest-scale-only pose alignment.
 
     At 7.5% of the scene depth the inter-frame displacement is several
@@ -112,4 +115,4 @@ def large_motion_triplet(width=80, height=64):
     locks onto the wrong minimum; a pose warm start is needed for the
     finest-scale refinement to land in the right basin.
     """
-    return training_triplet(width, height, translation_frac=0.075)
+    return training_triplet(translation_frac=0.075)

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import bundled, fileio, synth
-from .config import RunConfig, load_config
+from .config import load_config
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from .dvo import solve_coarse_to_fine
 from .errors import ConfigError, DvokitError, FileFormatError, InvalidRaster, ShapeMismatch
@@ -189,18 +189,9 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_GRADCHECK
 
 
-def _demo_data(cfg: RunConfig, from_config):
-    if from_config:
-        step = 0.05 * float(np.mean(cfg.scene.depth_range))
-        p21 = Pose6D(np.array([-step, 0.0, 0.3 * step]), np.array([0.0, 0.006, 0.0]))
-        p23 = Pose6D(np.array([step, 0.0, -0.24 * step]), np.array([0.0, -0.005, 0.002]))
-        return synth.make_triplet(cfg.scene, p21, p23)
-    return bundled.training_triplet()
-
-
 def cmd_train_demo(args) -> int:
     cfg = load_config(args.config)
-    data = _demo_data(cfg, args.scene_from_config)
+    data = bundled.training_triplet(cfg.scene if args.scene_from_config else None)
     train_cfg = replace(
         cfg.train_config(), mode=args.mode, normalize_depth=(args.normalize == "on")
     )

@@ -56,7 +56,7 @@ from .dvo import (
     update_pose,
 )
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp, so3_log, so3_tangent
-from .imaging import pyramid_arr, pyramid_grad_arr
+from .imaging import check_grids, pyramid_arr, pyramid_grad_arr
 from .warp import warp_and_sample, warp_vjp
 
 # perfbench traces these under this module's name; the solver reaches them
@@ -255,9 +255,11 @@ def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
 
     This is the forward map whose exact derivative the partial-chain
     backward (``grad_through_jacobian=False``) computes, so the two can
-    be checked against each other by finite differences.
+    be checked against each other by finite differences.  ``depth_values``
+    must lie on the tape's finest grid (ShapeMismatch otherwise).
     """
     settings = tape.settings
+    check_grids({"tape grid": tape.levels[-1].src_gray, "depth": depth_values})
     depth_pyr = pyramid_arr(np.asarray(depth_values, dtype=float), settings.levels)
     # Tape levels run coarsest first, pyramid levels finest first.
     walk = (

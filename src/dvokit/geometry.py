@@ -175,6 +175,12 @@ class CameraIntrinsics:
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
 
+    def normalized_axes(self, width, height):
+        """Normalized coordinates ``(u, v)`` of the pixel centers of a
+        ``width`` x ``height`` grid: the 1-D axes ``u[j] = (j - cx) / fx``
+        and ``v[i] = (i - cy) / fy``."""
+        return (np.arange(width) - self.cx) / self.fx, (np.arange(height) - self.cy) / self.fy
+
     def halved(self):
         """Intrinsics for a factor-2 downsampled image.
 

@@ -50,23 +50,22 @@ NUM_SCALES = 4
 # Smoothness is collected from these (coarsest) scales only.
 PRIOR_SCALES = (2, 3)
 
+# The SSIM share of the finest scale's appearance blend, and SSIM's
+# stabilizers; values follow common practice.
+SSIM_WEIGHT = 0.85
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
+
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Objective weights; defaults follow common practice."""
+    """Objective weights."""
 
     lambda_prior: float = 0.01
-    ssim_weight: float = 0.85
-    ssim_c1: float = 0.01 ** 2
-    ssim_c2: float = 0.03 ** 2
 
     def __post_init__(self):
         if not self.lambda_prior >= 0.0:
             raise ValueError("lambda_prior must be non-negative")
-        if not 0.0 <= self.ssim_weight <= 1.0:
-            raise ValueError("ssim_weight must lie in [0, 1]")
-        if not (self.ssim_c1 > 0.0 and self.ssim_c2 > 0.0):
-            raise ValueError("SSIM stabilizers must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def _box3_adjoint(g, shape):
     return out / 9.0
 
 
-def ssim(a, b, weights: LossWeights = LossWeights()):
+def ssim(a, b):
     """Per-pixel SSIM map of two (H, W) arrays over 3x3 box statistics.
 
     Returns ``(map, backward)``: the map has shape (H-2, W-2), and
@@ -153,7 +152,7 @@ def ssim(a, b, weights: LossWeights = LossWeights()):
         raise ShapeMismatch("SSIM inputs must share a grid")
     if a.shape[0] < 3 or a.shape[1] < 3:
         raise GridTooSmall("SSIM needs at least a 3x3 grid")
-    c1, c2 = weights.ssim_c1, weights.ssim_c2
+    c1, c2 = SSIM_C1, SSIM_C2
     mu_a = _box3(a)
     mu_b = _box3(b)
     e_aa = _box3(a * a)
@@ -191,14 +190,15 @@ def ssim(a, b, weights: LossWeights = LossWeights()):
 
 
 def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
-                    scale_index: int, weights: LossWeights = LossWeights()):
+                    scale_index: int):
     """Photometric dissimilarity between ``ref_gray`` and the warped ``src_gray``.
 
     ``depth`` is the reference inverse depth and ``(R, t)`` maps reference
     points into the source.  Plain L1 for ``scale_index`` 1..3; the finest
-    scale (0) blends ``alpha * (1 - SSIM)/2`` with ``(1 - alpha) * L1``
-    over the interior window grid.  Returns ``(loss, g_depth, g_t, g_R)``
-    with ``g_R`` the ambient 3x3 gradient on ``R`` (see ``warp.warp_vjp``).
+    scale (0) blends ``alpha * (1 - SSIM)/2`` with ``(1 - alpha) * L1``,
+    ``alpha = SSIM_WEIGHT``, over the interior window grid.  Returns
+    ``(loss, g_depth, g_t, g_R)`` with ``g_R`` the ambient 3x3 gradient on
+    ``R`` (see ``warp.warp_vjp``).
     """
     if scale_index not in range(NUM_SCALES):
         raise ValueError(f"scale_index must be in 0..{NUM_SCALES - 1}")
@@ -218,12 +218,12 @@ def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
         loss = float(np.sum(np.abs(diff))) / count
         g_warped = -np.sign(diff) / count
     else:
-        alpha = weights.ssim_weight
+        alpha = SSIM_WEIGHT
         # Out-of-view samples are replaced by the reference value so SSIM
         # windows stay well-defined; those pixels contribute nothing to L1
         # and are excluded from the mean below.
         filled = np.where(mask, warped, ref_gray)
-        s_map, ssim_back = ssim(ref_gray, filled, weights)
+        s_map, ssim_back = ssim(ref_gray, filled)
         interior_mask = mask[1:-1, 1:-1]
         count = float(np.sum(interior_mask))
         if count == 0.0:
@@ -302,8 +302,7 @@ def triplet_loss(t: Triplet, k: CameraIntrinsics,
             if inverted:
                 R, tr = R.T, -R.T @ tr
             loss, g_d, g_t, g_R = appearance_loss(
-                img_pyrs[ref_i][s], img_pyrs[src_i][s], depth_pyrs[ref_i][s],
-                R, tr, k_s, s, weights,
+                img_pyrs[ref_i][s], img_pyrs[src_i][s], depth_pyrs[ref_i][s], R, tr, k_s, s
             )
             scale_total += loss
             g_levels[ref_i][s] += g_d

@@ -6,10 +6,12 @@ projection coordinates).  Smooth textures keep bilinear-interpolation error
 small, which is what makes the finite-difference and pose-recovery oracles
 tight.
 
-Views at other poses are rendered analytically (``render_scene_view``):
-each view pixel's ray is intersected with the surface exactly and the
-texture is evaluated in closed form, so a rendered pair is photometrically
-consistent to machine precision.
+The reference view is evaluated directly on its pixel grid
+(``make_scene``).  A view at another pose is rendered analytically by one
+ray cast (``render_scene_view``): each view pixel's ray is intersected
+with the surface exactly, which gives the view's inverse depth, and the
+texture is evaluated in closed form at the hit, so a rendered pair is
+photometrically consistent to machine precision.
 
 Poses follow the package convention: a view's pose maps reference-frame
 points into the view frame, ``X_view = R @ X_ref + t``.
@@ -137,16 +139,14 @@ def _height_field(spec: SceneSpec):
     return depth
 
 
-def pixel_grid(width, height, k: CameraIntrinsics):
-    """Normalized coordinates (u, v) of every pixel center."""
-    xs = (np.arange(width) - k.cx) / k.fx
-    ys = (np.arange(height) - k.cy) / k.fy
-    return np.meshgrid(xs, ys)
+def _pixel_grid(spec: SceneSpec):
+    """Normalized coordinates (u, v) of every pixel center, as (H, W) arrays."""
+    return np.meshgrid(*spec.intrinsics.normalized_axes(spec.width, spec.height))
 
 
 def make_scene(spec: SceneSpec):
     """Reference image and ground-truth inverse depth for a scene."""
-    u, v = pixel_grid(spec.width, spec.height, spec.intrinsics)
+    u, v = _pixel_grid(spec)
     tex = _texture(spec)
     depth = _height_field(spec)
     img = ImageBuffer(tex(u, v))
@@ -210,37 +210,32 @@ def _intersect_rays(spec: SceneSpec, p: Pose6D, dirs):
 
 
 def _view_dirs(spec: SceneSpec):
-    u, v = pixel_grid(spec.width, spec.height, spec.intrinsics)
+    u, v = _pixel_grid(spec)
     return np.stack([u, v, np.ones_like(u)], axis=-1)
 
 
-def scene_view_depth(spec: SceneSpec, p: Pose6D) -> InverseDepthMap:
-    """Exact inverse depth of the scene as seen from pose ``p``."""
-    lam, _, _, valid = _intersect_rays(spec, p, _view_dirs(spec))
-    inv = np.where(valid, 1.0 / lam, 0.0)
-    return InverseDepthMap.from_array(inv)
-
-
 def render_scene_view(spec: SceneSpec, p: Pose6D):
-    """Analytic rendering of the scene from pose ``p``.
+    """Analytic rendering of the scene from pose ``p``, by one ray cast.
 
-    Returns ``(image, mask)``; masked-out pixels carry the texture midpoint.
+    Returns ``(image, inv_depth)``.  A pixel whose ray misses the surface
+    carries the texture midpoint and inverse depth 0, so the view's mask
+    of hits is ``inv_depth.values > 0``.
     """
     lam, u, v, valid = _intersect_rays(spec, p, _view_dirs(spec))
-    tex = _texture(spec)
-    img = np.where(valid, tex(u, v), 0.5)
-    return ImageBuffer(img), valid
+    img = np.where(valid, _texture(spec)(u, v), 0.5)
+    inv = np.where(valid, 1.0 / lam, 0.0)
+    return ImageBuffer(img), InverseDepthMap.from_array(inv)
 
 
 def make_pair(spec: SceneSpec, p: Pose6D):
     """Reference image/depth plus an analytically rendered source view.
 
-    The returned tuple is ``(ref_img, ref_inv_depth, src_img, mask)`` where
+    The returned tuple is ``(ref_img, ref_inv_depth, src_img)`` where
     ``p`` maps reference-frame points into the source frame.
     """
     ref_img, ref_depth = make_scene(spec)
-    src_img, mask = render_scene_view(spec, p)
-    return ref_img, ref_depth, src_img, mask
+    src_img, _ = render_scene_view(spec, p)
+    return ref_img, ref_depth, src_img
 
 
 def make_triplet(spec: SceneSpec, p21: Pose6D, p23: Pose6D):
@@ -251,10 +246,8 @@ def make_triplet(spec: SceneSpec, p21: Pose6D, p23: Pose6D):
     ground-truth inverse depths, and the two poses.
     """
     img2, d2 = make_scene(spec)
-    img1, _ = render_scene_view(spec, p21)
-    img3, _ = render_scene_view(spec, p23)
-    d1 = scene_view_depth(spec, p21)
-    d3 = scene_view_depth(spec, p23)
+    img1, d1 = render_scene_view(spec, p21)
+    img3, d3 = render_scene_view(spec, p23)
     return {
         "images": (img1, img2, img3),
         "gt_inv_depths": (d1, d2, d3),

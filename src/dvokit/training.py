@@ -48,6 +48,11 @@ TRAIN_MODES = ("fixed-pose-gt", "pose-param", "ddvo", "ddvo-hybrid", "dvo-em")
 DEPTH_SCALE = 10.0
 DEPTH_OFFSET = 0.01
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class DepthParam:
@@ -89,9 +94,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def fresh(shape, lr=1e-4):
@@ -108,11 +110,11 @@ def adam_step(state: AdamState, params, grads):
             f"state shape {state.m.shape}"
         )
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** step)
-    v_hat = v / (1.0 - state.beta2 ** step)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, replace(state, step=step, m=m, v=v)
 
 

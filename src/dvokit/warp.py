@@ -42,9 +42,10 @@ def points(k: CameraIntrinsics, depth):
     the N = H * W points run in row-major order.
     """
     h, w = depth.shape
+    u, v = k.normalized_axes(w, h)
     X = np.empty((4, h, w))
-    X[0] = (np.arange(w) - k.cx) / k.fx
-    X[1] = ((np.arange(h) - k.cy) / k.fy)[:, None]
+    X[0] = u
+    X[1] = v[:, None]
     X[2] = 1.0
     X[3] = depth
     return X.reshape(4, h * w)

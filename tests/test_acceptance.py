@@ -84,7 +84,7 @@ def small_instance(rng):
         texture_contrast=0.3,
     )
     pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
-    ref, depth, src, _ = make_pair(spec, pose)
+    ref, depth, src = make_pair(spec, pose)
     return ref.gray(), depth.values, src.gray(), spec.intrinsics
 
 

@@ -7,7 +7,7 @@ from dvokit import ddvo, training
 from dvokit.bundled import small_motion_pair, training_triplet
 from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
-from dvokit.errors import TapeMismatch
+from dvokit.errors import ShapeMismatch, TapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D
 from dvokit.losses import LossWeights
 from dvokit.synth import SceneSpec, make_pair
@@ -28,7 +28,7 @@ def small_instance(seed, width=16, height=16):
     w = rng.normal(size=3)
     w *= 0.004 / np.linalg.norm(w)
     pose = Pose6D(t, w)
-    ref, depth, src, _ = make_pair(spec, pose)
+    ref, depth, src = make_pair(spec, pose)
     return ref.gray(), depth.values, src.gray(), spec.intrinsics, pose
 
 
@@ -114,7 +114,7 @@ def pose_depth_jacobian(ref, depth, src, k, settings):
 class TestForward:
     def test_zero_motion_identity(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=2, width=32, height=24)
-        ref, depth, src, _ = make_pair(spec, Pose6D.identity())
+        ref, depth, src = make_pair(spec, Pose6D.identity())
         pose, tape = ddvo_forward(ref.gray(), depth.values, src.gray(), spec.intrinsics,
                                   DdvoSettings(unroll_iters=1))
         assert np.max(np.abs(pose.as_vector())) < 1e-10
@@ -268,6 +268,14 @@ class TestBackward:
         assert np.array_equal(tape.levels[0].iters[0].R, init.rt()[0])
         replayed = replay_frozen_jacobian(tape, depth)
         assert np.array_equal(pose.as_vector(), replayed.as_vector())
+
+    def test_replay_rejects_a_depth_off_the_tape_grid(self):
+        # A cropped depth and a transposed one with the same pixel count.
+        ref, depth, src, _, k = small_motion_pair(0)
+        _, tape = ddvo_forward(ref, depth, src, k, DdvoSettings(unroll_iters=2, levels=2))
+        for bad in (depth[:-2], depth.T.copy()):
+            with pytest.raises(ShapeMismatch):
+                replay_frozen_jacobian(tape, bad)
 
     def test_backward_determinism(self):
         ref, depth, src, k, _ = small_instance(8)

@@ -8,7 +8,7 @@ from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_f
 from dvokit.errors import ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import bilinear_many
-from dvokit.synth import SceneSpec, make_scene, pixel_grid
+from dvokit.synth import SceneSpec, make_scene
 from dvokit.warp import points
 
 
@@ -55,7 +55,7 @@ class TestPrecomputeReferenceSystem:
         ref = rng.uniform(0.0, 1.0, size=(h, w))
         depth = rng.uniform(0.25, 0.5, size=(h, w))
         J, _ = build_jacobian(ref, points(k, depth), k)
-        u, v = pixel_grid(w, h, k)
+        u, v = np.meshgrid(*k.normalized_axes(w, h))
 
         def warped_intensity(p_vec):
             pose = Pose6D.from_vector(p_vec)

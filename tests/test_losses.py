@@ -4,6 +4,8 @@ import pytest
 from dvokit.errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp
 from dvokit.losses import (
+    SSIM_C1,
+    SSIM_C2,
     LossBreakdown,
     LossWeights,
     Triplet,
@@ -20,7 +22,7 @@ from dvokit.synth import SceneSpec, make_pair, make_triplet
 def consistent_pair(seed=3, width=16, height=16):
     spec = SceneSpec(kind="smooth-height-field", texture_seed=seed, width=width, height=height)
     pose = Pose6D([0.02, -0.01, 0.01], [0.002, -0.003, 0.001])
-    ref, depth, src, _ = make_pair(spec, pose)
+    ref, depth, src = make_pair(spec, pose)
     return ref, depth, src, pose, spec.intrinsics
 
 
@@ -91,14 +93,13 @@ class TestSsim:
         assert np.max(np.abs(ssim(a, a)[0] - 1.0)) < 1e-12
 
     def test_constant_unequal_closed_form(self):
-        w = LossWeights()
         a = np.full((5, 5), 0.2)
         b = np.full((5, 5), 0.8)
         expected = (
-            (2.0 * 0.2 * 0.8 + w.ssim_c1) * w.ssim_c2
-            / ((0.04 + 0.64 + w.ssim_c1) * w.ssim_c2)
+            (2.0 * 0.2 * 0.8 + SSIM_C1) * SSIM_C2
+            / ((0.04 + 0.64 + SSIM_C1) * SSIM_C2)
         )
-        assert np.max(np.abs(ssim(a, b, w)[0] - expected)) < 1e-12
+        assert np.max(np.abs(ssim(a, b)[0] - expected)) < 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(3)
@@ -309,8 +310,6 @@ class TestTripletLoss:
     def test_validation(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_prior=-1.0)
-        with pytest.raises(ValueError):
-            LossWeights(ssim_weight=1.5)
         img = np.full((8, 8), 0.5)
         d_small = np.full((4, 4), 0.5)
         d = np.full((8, 8), 0.5)

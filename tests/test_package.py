@@ -1,10 +1,17 @@
-"""The package's public surface: what ``from dvokit import *`` exports."""
+"""The package's public surface: what ``from dvokit import *`` exports,
+and the README's code and config names."""
 
+import importlib
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import dvokit
+from dvokit.config import RunConfig, _section_fields, parse_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_star_import_resolves_every_exported_name():
@@ -25,3 +32,33 @@ def test_readme_library_example_runs():
     grad = namespace["grad_depth"]
     assert grad.shape == namespace["depth"].values.shape
     assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+def test_readme_dotted_names_exist():
+    # A backticked `section.name` whose section is a config section or a
+    # dvokit module names a key of that section or an attribute of that
+    # module; other dotted spans (`tape.R_final`) are not checked.
+    sections = {f.name for f in fields(RunConfig)}
+    checked, stale = 0, []
+    for section, name in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", README.read_text()):
+        try:
+            module = importlib.import_module(f"dvokit.{section}")
+        except ModuleNotFoundError:
+            module = None
+        if section not in sections and module is None:
+            continue
+        checked += 1
+        is_key = section in sections and name in _section_fields(section)
+        if not (is_key or hasattr(module, name)):
+            stale.append(f"{section}.{name}")
+    assert checked > 10
+    assert stale == []
+
+
+def test_readme_config_block_parses():
+    # Fenced blocks with no info string hold `section.key = value` lines.
+    fenced = README.read_text().split("```")[1::2]
+    blocks = [body[1:] for body in fenced if body.startswith("\n")]
+    assert blocks
+    for block in blocks:
+        parse_config(block)

@@ -7,7 +7,6 @@ from dvokit.synth import (
     make_scene,
     make_triplet,
     render_scene_view,
-    scene_view_depth,
 )
 
 
@@ -71,8 +70,8 @@ class TestRenderSceneView:
     def test_identity_pose_reproduces_reference(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=2)
         ref, _ = make_scene(spec)
-        img, mask = render_scene_view(spec, Pose6D.identity())
-        assert mask.all()
+        img, depth = render_scene_view(spec, Pose6D.identity())
+        assert np.all(depth.values > 0.0)
         assert np.max(np.abs(img.data - ref.data)) < 1e-9
 
     def test_z_translation_is_central_scaling(self):
@@ -83,7 +82,7 @@ class TestRenderSceneView:
         tz = 0.3
         spec = SceneSpec(kind="textured-plane", texture_seed=4, depth_range=(z0, z0))
         k = spec.intrinsics
-        view, mask = render_scene_view(spec, Pose6D([0.0, 0.0, tz], np.zeros(3)))
+        view, depth = render_scene_view(spec, Pose6D([0.0, 0.0, tz], np.zeros(3)))
         s = (z0 + tz) / z0
         scaled_spec = SceneSpec(
             kind="textured-plane",
@@ -92,13 +91,13 @@ class TestRenderSceneView:
             intrinsics=CameraIntrinsics(k.fx / s, k.fy / s, k.cx, k.cy),
         )
         oracle, _ = make_scene(scaled_spec)
-        assert mask.all()
+        assert np.all(depth.values > 0.0)
         assert np.max(np.abs(view.data - oracle.data)) < 1e-9
 
     def test_view_depth_identity_matches_scene_depth(self):
         spec = SceneSpec(kind="smooth-height-field", texture_seed=3)
         _, gt = make_scene(spec)
-        d = scene_view_depth(spec, Pose6D.identity())
+        _, d = render_scene_view(spec, Pose6D.identity())
         assert np.max(np.abs(d.values - gt.values)) < 1e-12
 
     def test_height_field_intersection_consistency(self):
@@ -106,7 +105,7 @@ class TestRenderSceneView:
         # on the analytic surface.
         spec = SceneSpec(kind="smooth-height-field", texture_seed=9)
         p = Pose6D([0.05, -0.02, 0.03], [0.004, 0.006, -0.002])
-        d = scene_view_depth(spec, p)
+        _, d = render_scene_view(spec, p)
         from dvokit.geometry import so3_exp
         from dvokit.synth import _height_field, _view_dirs
 
