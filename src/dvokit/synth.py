@@ -11,7 +11,9 @@ The reference view is evaluated directly on its pixel grid
 ray cast (``render_scene_view``): each view pixel's ray is intersected
 with the surface exactly, which gives the view's inverse depth, and the
 texture is evaluated in closed form at the hit, so a rendered pair is
-photometrically consistent to machine precision.
+photometrically consistent to machine precision.  On a height field the
+intersection is 60 fixed-point steps per ray; a ray whose step returns its
+depth unchanged leaves the loop, which leaves the result as it was.
 
 Poses follow the package convention: a view's pose maps reference-frame
 points into the view frame, ``X_view = R @ X_ref + t``.
@@ -194,13 +196,25 @@ def _intersect_rays(spec: SceneSpec, p: Pose6D, dirs):
     # The mean depth: the plane's depth, and the height field's first iterate.
     lam = (0.5 * (near + far) - b[2]) / a[..., 2]
     if spec.kind != "textured-plane":
-        # Fixed-point iteration lam <- (z(u(lam), v(lam)) - b_z) / a_z.
-        # Contraction factor ~ relief slope / mean depth, far below 1.
+        # Fixed-point iteration lam <- (z(u(lam), v(lam)) - b_z) / a_z, 60
+        # steps; contraction ~ relief slope / mean depth, far below 1.  A ray
+        # whose step returns its lam exactly keeps it for good, so it leaves
+        # the live set and the result is still every ray's 60th iterate.
+        shape = lam.shape
+        lam = lam.ravel()
+        ax, ay, az = a.reshape(-1, 3).T
+        live = np.arange(lam.size)
         for _ in range(60):
-            z_ref = lam * a[..., 2] + b[2]
-            u = (lam * a[..., 0] + b[0]) / z_ref
-            v = (lam * a[..., 1] + b[1]) / z_ref
-            lam = (depth(u, v) - b[2]) / a[..., 2]
+            lv, az_l = lam[live], az[live]
+            z_ref = lv * az_l + b[2]
+            u = (lv * ax[live] + b[0]) / z_ref
+            v = (lv * ay[live] + b[1]) / z_ref
+            nxt = (depth(u, v) - b[2]) / az_l
+            lam[live] = nxt
+            live = live[nxt != lv]
+            if live.size == 0:
+                break
+        lam = lam.reshape(shape)
     z_ref = lam * a[..., 2] + b[2]
     valid = (lam > EPSILON_Z) & (z_ref > EPSILON_Z)
     safe = np.where(valid, z_ref, 1.0)

@@ -51,3 +51,53 @@ def bilinear_grad_many(plane, xs, ys):
     gx = (v01 - v00) * (1.0 - fy) + (v11 - v10) * fy
     gy = (v10 - v00) * (1.0 - fx) + (v11 - v01) * fx
     return gx, gy
+
+
+def intersect_rays(spec, p, dirs, steps=60):
+    """``synth._intersect_rays`` as a plain loop: every ray of a height
+    field takes all ``steps`` fixed-point steps."""
+    from dvokit.geometry import EPSILON_Z, so3_exp
+    from dvokit.synth import _height_field
+
+    R = so3_exp(p.omega)
+    a = dirs @ R
+    b = -(R.T @ p.t)
+    depth = _height_field(spec)
+    near, far = spec.depth_range
+
+    if spec.kind == "two-plane":
+        best_lam = None
+        best_uv = None
+        best_score = None
+        for z_plane, side in ((near, -1.0), (far, 1.0)):
+            lam = (z_plane - b[2]) / a[..., 2]
+            z_ref = lam * a[..., 2] + b[2]
+            u = (lam * a[..., 0] + b[0]) / z_ref
+            v = (lam * a[..., 1] + b[1]) / z_ref
+            on_side = (u * side) >= 0.0
+            ok = (lam > EPSILON_Z) & on_side
+            score = np.where(ok, lam, np.where(lam > EPSILON_Z, lam + 1e6, np.inf))
+            if best_lam is None:
+                best_lam, best_uv, best_score = lam, (u, v), score
+            else:
+                take = score < best_score
+                best_lam = np.where(take, lam, best_lam)
+                best_uv = (np.where(take, u, best_uv[0]), np.where(take, v, best_uv[1]))
+                best_score = np.minimum(score, best_score)
+        valid = np.isfinite(best_score)
+        lam = np.where(valid, best_lam, 1.0)
+        return lam, best_uv[0], best_uv[1], valid
+
+    lam = (0.5 * (near + far) - b[2]) / a[..., 2]
+    if spec.kind != "textured-plane":
+        for _ in range(steps):
+            z_ref = lam * a[..., 2] + b[2]
+            u = (lam * a[..., 0] + b[0]) / z_ref
+            v = (lam * a[..., 1] + b[1]) / z_ref
+            lam = (depth(u, v) - b[2]) / a[..., 2]
+    z_ref = lam * a[..., 2] + b[2]
+    valid = (lam > EPSILON_Z) & (z_ref > EPSILON_Z)
+    safe = np.where(valid, z_ref, 1.0)
+    u = (lam * a[..., 0] + b[0]) / safe
+    v = (lam * a[..., 1] + b[1]) / safe
+    return np.where(valid, lam, 1.0), u, v, valid

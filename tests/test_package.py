@@ -62,3 +62,10 @@ def test_readme_config_block_parses():
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def test_readme_bench_files_exist():
+    # Every paired-run file the README cites sits at the repo root.
+    named = set(re.findall(r"BENCH_\d+\.json", README.read_text()))
+    assert named
+    assert sorted(n for n in named if not (README.parent / n).is_file()) == []

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
+from dvokit import bundled
 from dvokit.geometry import CameraIntrinsics, Pose6D
 from dvokit.synth import (
     SceneSpec,
+    _intersect_rays,
+    _view_dirs,
     make_scene,
     make_triplet,
     render_scene_view,
@@ -117,6 +121,44 @@ class TestRenderSceneView:
         v = X_ref[..., 1] / X_ref[..., 2]
         surface_z = _height_field(spec)(u, v)
         assert np.max(np.abs(X_ref[..., 2] - surface_z)) < 1e-10
+
+
+# Ray-cast fixtures: a pose-recovery pair (rays settle or 2-cycle), the
+# training clip's p21 (a few rays still move after 20 steps), a rotation
+# of 1.2 rad on which some rays miss and some never repeat an iterate, and
+# the two closed-form scenes.
+RAY_CASTS = {
+    "pose-recovery": (bundled.pose_recovery_spec(5), Pose6D([0.02, -0.01, 0.015], [0.004, -0.006, 0.003])),
+    "training": (bundled.training_spec(), Pose6D([-0.15, 0.0, 0.045], [0.0, 0.006, 0.0])),
+    "large-rotation": (
+        SceneSpec(kind="smooth-height-field", texture_seed=3, width=40, height=32),
+        Pose6D([0.2, 0.0, 0.1], [0.0, 1.2, 0.0]),
+    ),
+    "two-plane": (SceneSpec(kind="two-plane", width=40, height=32), Pose6D([0.3, 0.0, 0.1], [0.0, 0.4, 0.0])),
+    "textured-plane": (SceneSpec(width=40, height=32), Pose6D([0.3, 0.0, 0.1], [0.0, 0.4, 0.0])),
+}
+
+
+class TestIntersectRays:
+    @pytest.mark.parametrize("case", sorted(RAY_CASTS))
+    def test_bit_identical_to_the_plain_loop(self, case):
+        spec, p = RAY_CASTS[case]
+        dirs = _view_dirs(spec)
+        got = _intersect_rays(spec, p, dirs)
+        want = oracles.intersect_rays(spec, p, dirs)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_fixtures_cover_misses_and_rays_that_never_settle(self):
+        spec, p = RAY_CASTS["large-rotation"]
+        dirs = _view_dirs(spec)
+        assert not oracles.intersect_rays(spec, p, dirs)[3].all()
+        # lam after 0..60 steps; a ray whose 61 iterates are all distinct
+        # stays live for the whole loop.
+        lams = np.stack([oracles.intersect_rays(spec, p, dirs, steps=k)[0].ravel() for k in range(61)])
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(lams, axis=0), axis=0), axis=0)
+        assert distinct.max() == 61
 
 
 class TestMakeTriplet:
