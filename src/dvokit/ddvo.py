@@ -31,8 +31,9 @@ takes and walks its levels (``dvo.level_systems``).  One unroll takes
 ``dvo``'s Gauss-Newton steps on each level and records the tape; the
 frozen-Jacobian replay runs it over the tape's levels with new depths in
 the warp.  The tape keeps each level's system (points, J, its depth
-factor A and the damping) and each iteration's damped normal matrix H
-and step rotation, so the backward pass rebuilds none of them.
+factor A and the damped normal matrix with every point in view) and
+each iteration's downdated normal matrix H and step rotation, so the
+backward pass rebuilds none of them.
 
 All internal pose state is kept in matrix form (R, t); exponential
 coordinates appear only at the pose update deltas and at the returned
@@ -251,7 +252,7 @@ def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
 
 def replay_frozen_jacobian(tape: DdvoTape, depth_values) -> Pose6D:
     """Re-run the unroll warping with ``depth_values`` but keeping the
-    tape's Jacobians and damping fixed, from the tape's start pose.
+    tape's Jacobians and normal matrices fixed, from the tape's start pose.
 
     This is the forward map whose exact derivative the partial-chain
     backward (``grad_through_jacobian=False``) computes, so the two can

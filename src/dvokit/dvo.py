@@ -11,11 +11,11 @@ solver comes in three pieces that the unrolled solver in ``ddvo`` and
 its frozen-Jacobian replay share:
 
 * ``level_systems`` walks the pyramid levels, building each level's
-  Jacobian once on the reference image, with its damping;
-* ``gauss_newton_step`` re-solves only the 6x6 weighted normal equations
-  per iteration, so that masked-out pixels leave the system entirely (a
-  strengthening of re-using a fixed pseudo-inverse, cheap because the
-  Jacobian itself stays fixed);
+  Jacobian ``J`` and its damped normal matrix ``H = J^T J + lambda I``
+  once on the reference image;
+* ``gauss_newton_step`` subtracts the rows of the pixels out of view
+  from ``H`` each iteration (an exact downdate: the weights are 0 or 1)
+  and solves the 6x6 system, so masked-out pixels leave it entirely;
 * ``update_pose`` applies the step to the pose, kept as a matrix pair
   ``(R, t)`` within a level.
 
@@ -113,7 +113,7 @@ class LevelSystem(NamedTuple):
     X: np.ndarray  # (4, N) warp points [u, v, 1, d], see warp.points
     J: np.ndarray  # (N, 6) photometric Jacobian at the identity pose
     A: np.ndarray  # (3, N) depth factor of J: J[:, :3] = d * A.T
-    damp: np.ndarray  # lambda * I, the damping of the normal equations
+    H: np.ndarray  # J^T J + lambda I, the damped normal matrix with every point in view
     ref_flat: np.ndarray  # reference intensities, one per point
 
 
@@ -144,12 +144,13 @@ def build_jacobian(ref_gray, X, k: CameraIntrinsics):
     gv = (gy * k.fy).ravel()
     uu, vv = X[0], X[1]
     A = np.stack((gu, gv, -(gu * uu + gv * vv)))
-    J = np.empty((uu.size, 6))
-    J[:, :3] = (A * X[3]).T
-    J[:, 3] = -gu * uu * vv - gv * (1.0 + vv * vv)
-    J[:, 4] = gu * (1.0 + uu * uu) + gv * uu * vv
-    J[:, 5] = -gu * vv + gv * uu
-    return J, A
+    # Each row of J^T is written whole, then J is copied out once.
+    Jt = np.empty((6, uu.size))
+    Jt[:3] = A * X[3]
+    Jt[3] = -gu * uu * vv - gv * (1.0 + vv * vv)
+    Jt[4] = gu * (1.0 + uu * uu) + gv * uu * vv
+    Jt[5] = -gu * vv + gv * uu
+    return np.ascontiguousarray(Jt.T), A
 
 
 def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, damping):
@@ -168,11 +169,12 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
         k_level = k.at_level(level)
         X = points(k_level, depth_pyr[level])
         J, A = build_jacobian(ref_pyr[level], X, k_level)
-        lam = damping if damping is not None else DAMPING_COEFF * np.sum(J * J) / 6.0
-        damp = lam * np.eye(6)
-        if not _well_conditioned(J.T @ J + damp):
+        H = J.T @ J
+        lam = damping if damping is not None else DAMPING_COEFF * np.trace(H) / 6.0
+        H += lam * np.eye(6)
+        if not _well_conditioned(H):
             raise SingularSystem("reference image lacks texture for a 6-DoF solve")
-        yield src_pyr[level], k_level, LevelSystem(X, J, A, damp, ref_pyr[level].ravel())
+        yield src_pyr[level], k_level, LevelSystem(X, J, A, H, ref_pyr[level].ravel())
 
 
 def in_view_weights(mask):
@@ -192,13 +194,18 @@ def gauss_newton_step(system: LevelSystem, sampled, wvec):
     ``(delta, H)``: the step ``delta = (J^T W J + lambda I)^-1 J^T W r``
     on ``(t, omega)``, with ``W = diag(wvec)``, and the damped normal
     matrix ``H``.
+
+    The weights are 0 or 1, so ``H`` is the level's ``system.H`` less
+    ``J_out^T J_out`` over the rows ``J_out`` of the points out of view,
+    an exact downdate that costs only those rows.  The residual
+    ``W r = W (ref - sampled)`` is formed before it meets ``J``.
     """
     J = system.J
-    Jw = J * wvec[:, None]
-    H = J.T @ Jw + system.damp
+    J_out = J[wvec == 0.0]
+    H = system.H - J_out.T @ J_out
     if not _well_conditioned(H):
         raise SingularSystem("weighted normal equations became singular")
-    delta = np.linalg.solve(H, Jw.T @ system.ref_flat - Jw.T @ sampled)
+    delta = np.linalg.solve(H, J.T @ (wvec * (system.ref_flat - sampled)))
     return delta, H
 
 

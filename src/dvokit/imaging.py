@@ -110,14 +110,23 @@ def bilinear_many(plane, xs, ys, grad=False):
     h, w = plane.shape
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    # The clipped coordinates are this call's own, so every later
+    # temporary is computed into one of them; the operations and their
+    # order are those of the plain formulas in the comments.
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
-    in_view = (xc == xs) & (yc == ys)
-    x0 = np.minimum(np.floor(xc), w - 2)
-    y0 = np.minimum(np.floor(yc), h - 2)
-    fx = xc - x0
-    fy = yc - y0
-    cell = (y0 * w + x0).astype(np.intp)
+    in_view = xc == xs
+    in_view &= yc == ys
+    x0 = np.floor(xc)
+    np.minimum(x0, w - 2, out=x0)
+    y0 = np.floor(yc)
+    np.minimum(y0, h - 2, out=y0)
+    fx = np.subtract(xc, x0, out=xc)
+    fy = np.subtract(yc, y0, out=yc)
+    # cell = y0 * w + x0
+    y0 *= w
+    y0 += x0
+    cell = y0.astype(np.intp)
     flat = plane.ravel()
     v00 = flat.take(cell)
     v01 = flat[1:].take(cell)
@@ -125,16 +134,36 @@ def bilinear_many(plane, xs, ys, grad=False):
     v11 = flat[w + 1:].take(cell)
     # Keep the a*(1-f) + b*f form: it returns the stored value bit for bit
     # at lattice points, where a + (b-a)*f need not.
-    wx0 = 1.0 - fx
+    wx0 = np.subtract(1.0, fx, out=x0)
     wy0 = 1.0 - fy
-    top = v00 * wx0 + v01 * fx
-    bot = v10 * wx0 + v11 * fx
-    vals = top * wy0 + bot * fy
+    if grad:
+        # gx = (v01 - v00) * wy0 + (v11 - v10) * fy
+        # gy = (v10 - v00) * wx0 + (v11 - v01) * fx
+        tmp = np.subtract(v11, v10)
+        tmp *= fy
+        gx = np.subtract(v01, v00)
+        gx *= wy0
+        gx += tmp
+        np.subtract(v11, v01, out=tmp)
+        tmp *= fx
+        gy = np.subtract(v10, v00)
+        gy *= wx0
+        gy += tmp
+    # top = v00 * wx0 + v01 * fx; bot = v10 * wx0 + v11 * fx
+    # vals = top * wy0 + bot * fy
+    vals = v00
+    vals *= wx0
+    v01 *= fx
+    vals += v01
+    v10 *= wx0
+    v11 *= fx
+    v10 += v11
+    vals *= wy0
+    v10 *= fy
+    vals += v10
     vals *= in_view
     if not grad:
         return vals, in_view
-    gx = (v01 - v00) * wy0 + (v11 - v10) * fy
-    gy = (v10 - v00) * wx0 + (v11 - v01) * fx
     return vals, in_view, gx, gy
 
 
@@ -145,8 +174,24 @@ def bilinear_grad_many(plane, xs, ys):
 
 
 def gradient_arr(plane):
-    """(d/dx, d/dy) of a (H, W) plane: central interior, one-sided borders."""
-    gy, gx = np.gradient(plane)
+    """(d/dx, d/dy) of a (H, W) plane: central interior, one-sided borders.
+
+    The values of ``np.gradient``, from direct slices.  GridTooSmall for a
+    plane with fewer than 2 rows or columns.
+    """
+    h, w = plane.shape
+    if h < 2 or w < 2:
+        raise GridTooSmall(f"a gradient needs at least a 2x2 raster, got {h}x{w}")
+    gx = np.empty((h, w))
+    gy = np.empty((h, w))
+    np.subtract(plane[:, 2:], plane[:, :-2], out=gx[:, 1:-1])
+    gx[:, 1:-1] /= 2.0
+    np.subtract(plane[:, 1], plane[:, 0], out=gx[:, 0])
+    np.subtract(plane[:, -1], plane[:, -2], out=gx[:, -1])
+    np.subtract(plane[2:], plane[:-2], out=gy[1:-1])
+    gy[1:-1] /= 2.0
+    np.subtract(plane[1], plane[0], out=gy[0])
+    np.subtract(plane[-1], plane[-2], out=gy[-1])
     return gx, gy
 
 
@@ -162,8 +207,20 @@ def downsample2_arr(data):
     h, w = data.shape
     if h < 2 or w < 2:
         raise GridTooSmall("2x2 pooling needs at least a 2x2 raster")
-    h2, w2 = h // 2, w // 2
-    return data[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+    h2, w2 = 2 * (h // 2), 2 * (w // 2)
+    top_right, bottom_left = data[0:h2:2, 1:w2:2], data[1:h2:2, 0:w2:2]
+    bottom_right = data[1:h2:2, 1:w2:2]
+    # Summed in the order numpy's mean over the 2x2 blocks sums them, so
+    # the values are those of reshape(h2 / 2, 2, w2 / 2, 2).mean(axis=(1, 3)):
+    # pairwise, except that a single output column is summed in sequence.
+    out = data[0:h2:2, 0:w2:2] + top_right
+    if w2 == 2:
+        out += bottom_left
+        out += bottom_right
+    else:
+        out += bottom_left + bottom_right
+    out /= 4.0
+    return out
 
 
 def upsample2_grad_arr(grad_coarse, fine_shape):

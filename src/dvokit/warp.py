@@ -63,11 +63,20 @@ def warp_and_sample(plane, X, R, t, k: CameraIntrinsics, grad=False):
     Rt[:, :3] = R
     Rt[:, 3] = t
     P = Rt @ X
-    front = P[2] > EPSILON_Z
-    z = np.where(front, P[2], 1.0)
-    up = P[0] / z
-    vp = P[1] / z
-    sampled = bilinear_many(plane, up * k.fx + k.cx, vp * k.fy + k.cy, grad)
+    # The rows of P are this call's own: z, the projection and, without
+    # grad, the pixel coordinates are computed into them.
+    z = P[2]
+    front = z > EPSILON_Z
+    np.copyto(z, 1.0, where=~front)
+    up = np.divide(P[0], z, out=P[0])
+    vp = np.divide(P[1], z, out=P[1])
+    if grad:
+        xs, ys = up * k.fx, vp * k.fy
+    else:
+        xs, ys = np.multiply(up, k.fx, out=up), np.multiply(vp, k.fy, out=vp)
+    xs += k.cx
+    ys += k.cy
+    sampled = bilinear_many(plane, xs, ys, grad)
     mask = front & sampled[1]
     if not grad:
         return sampled[0], mask

@@ -53,6 +53,51 @@ def bilinear_grad_many(plane, xs, ys):
     return gx, gy
 
 
+def bilinear_many_fused(plane, xs, ys, grad=False):
+    """``imaging.bilinear_many`` as plain expressions, one temporary per
+    operation: one flat cell index and four ``take`` gathers serve the
+    values and, with ``grad=True``, the derivatives ``(d/dx, d/dy)``."""
+    h, w = plane.shape
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    xc = np.clip(xs, 0.0, w - 1.0)
+    yc = np.clip(ys, 0.0, h - 1.0)
+    in_view = (xc == xs) & (yc == ys)
+    x0 = np.minimum(np.floor(xc), w - 2)
+    y0 = np.minimum(np.floor(yc), h - 2)
+    fx = xc - x0
+    fy = yc - y0
+    cell = (y0 * w + x0).astype(np.intp)
+    flat = plane.ravel()
+    v00 = flat.take(cell)
+    v01 = flat[1:].take(cell)
+    v10 = flat[w:].take(cell)
+    v11 = flat[w + 1:].take(cell)
+    wx0 = 1.0 - fx
+    wy0 = 1.0 - fy
+    top = v00 * wx0 + v01 * fx
+    bot = v10 * wx0 + v11 * fx
+    vals = top * wy0 + bot * fy
+    vals *= in_view
+    if not grad:
+        return vals, in_view
+    gx = (v01 - v00) * wy0 + (v11 - v10) * fy
+    gy = (v10 - v00) * wx0 + (v11 - v01) * fx
+    return vals, in_view, gx, gy
+
+
+def gradient(plane):
+    """``imaging.gradient_arr`` through ``np.gradient``: ``(d/dx, d/dy)``."""
+    gy, gx = np.gradient(plane)
+    return gx, gy
+
+
+def downsample2(data):
+    """``imaging.downsample2_arr`` as a mean over the 2x2 blocks of a 4-D view."""
+    h2, w2 = data.shape[0] // 2, data.shape[1] // 2
+    return data[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+
+
 def intersect_rays(spec, p, dirs, steps=60):
     """``synth._intersect_rays`` as a plain loop: every ray of a height
     field takes all ``steps`` fixed-point steps."""

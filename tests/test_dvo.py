@@ -5,11 +5,11 @@ from dvokit.bundled import large_motion_pair, small_motion_pair
 from dvokit import dvo
 from dvokit.ddvo import DdvoSettings, ddvo_forward
 from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_fine
-from dvokit.errors import ShapeMismatch, SingularSystem
+from dvokit.errors import GridTooSmall, ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import bilinear_many
-from dvokit.synth import SceneSpec, make_scene
-from dvokit.warp import points
+from dvokit.synth import SceneSpec, make_pair, make_scene
+from dvokit.warp import MIN_VALID_FRACTION, points, warp_and_sample
 
 
 def rotation_error_deg(est: Pose6D, true: Pose6D):
@@ -76,6 +76,71 @@ class TestPrecomputeReferenceSystem:
             step[j] = eps
             fd = (warped_intensity(step) - warped_intensity(-step)) / (2.0 * eps)
             assert np.max(np.abs(fd[interior] - J[interior, j])) < 1e-5
+
+
+def finest_system(ref, depth, src, k, damping=None):
+    """``(src, k, LevelSystem)`` of the finest level alone."""
+    return next(dvo.level_systems(ref, depth, src, k, 1, damping))
+
+
+class TestNormalMatrix:
+    @pytest.mark.parametrize("damping", [None, 0.0])
+    @pytest.mark.parametrize("fraction", [1.0, 0.97, 0.25])
+    def test_downdate_matches_weighted_product(self, fraction, damping):
+        ref, depth, src, _, k = small_motion_pair(0)
+        _, _, system = finest_system(ref, depth, src, k, damping)
+        J = system.J
+        n = J.shape[0]
+        wvec = np.zeros(n)
+        wvec[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = 1.0
+        _, H = dvo.gauss_newton_step(system, src.ravel(), wvec)
+        lam = dvo.DAMPING_COEFF * np.sum(J * J) / 6.0 if damping is None else damping
+        expected = J.T @ (J * wvec[:, None]) + lam * np.eye(6)
+        assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_every_point_in_view_returns_the_level_matrix(self):
+        ref, depth, src, _, k = small_motion_pair(0)
+        _, _, system = finest_system(ref, depth, src, k)
+        _, H = dvo.gauss_newton_step(system, src.ravel(), np.ones(ref.size))
+        assert np.array_equal(H, system.H)
+
+    def test_singular_when_only_untextured_points_stay_in_view(self):
+        # J^T W J is zero for these points; the downdate leaves at most the
+        # rounding of the full matrix, which the conditioning check must
+        # still read as singular.
+        ref = np.full((16, 16), 0.5)
+        ref[:, :6] = np.random.default_rng(3).uniform(size=(16, 6))
+        depth = np.full((16, 16), 0.4)
+        k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
+        _, _, system = finest_system(ref, depth, ref, k, damping=0.0)
+        untextured = ~system.J.any(axis=1)
+        assert untextured.mean() >= MIN_VALID_FRACTION
+        with pytest.raises(SingularSystem):
+            dvo.gauss_newton_step(system, ref.ravel(), untextured.astype(float))
+
+    def test_step_ignores_a_common_intensity_offset(self):
+        # At the true pose the residual is small against the intensities.
+        # The step is formed from W (ref - sampled), so adding 1e3 to both
+        # moves it by rounding of the residual alone, not of J^T W ref.
+        ref, depth, src, pose, k = small_motion_pair(0)
+        src_level, k_level, system = finest_system(ref, depth, src, k)
+        sampled, mask = warp_and_sample(src_level, system.X, so3_exp(pose.omega), pose.t,
+                                        k_level)
+        wvec = dvo.in_view_weights(mask)
+        delta, _ = dvo.gauss_newton_step(system, sampled, wvec)
+        shifted = system._replace(ref_flat=system.ref_flat + 1e3)
+        delta_shifted, _ = dvo.gauss_newton_step(shifted, sampled + 1e3, wvec)
+        assert np.linalg.norm(delta_shifted - delta) <= 1e-9 * np.linalg.norm(delta)
+
+    def test_too_small_level_raises_grid_too_small(self):
+        # A 16x16 pair at 5 levels reaches a 1x1 coarsest level.
+        spec = SceneSpec(kind="textured-plane", width=16, height=16)
+        ref_img, ref_depth, src_img = make_pair(spec, Pose6D([0.01, 0.0, 0.0], [0.0, 0.0, 0.0]))
+        arrays = (ref_img.gray(), ref_depth.values, src_img.gray(), spec.intrinsics)
+        with pytest.raises(GridTooSmall):
+            solve_coarse_to_fine(*arrays, Pose6D.identity(), DvoSettings(levels=5))
+        with pytest.raises(GridTooSmall):
+            ddvo_forward(*arrays, DdvoSettings(levels=5))
 
 
 class TestSolveLevel:

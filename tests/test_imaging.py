@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dvokit.errors import GridTooSmall
 from dvokit.imaging import (
     InverseDepthMap,
@@ -66,7 +69,33 @@ class TestSampleBilinearGrad:
         assert worst < 1e-6
 
 
+@st.composite
+def planes(draw):
+    """A 2x2 to 40x40 plane, odd sizes included, whose entries span six
+    decades, so that a different order of operations shows in the bits."""
+    h = draw(st.integers(2, 40))
+    w = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(h, w)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(h, w))
+
+
+BYTE_IDENTITY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
 class TestSpatialGradient:
+    @BYTE_IDENTITY
+    @given(planes())
+    def test_matches_np_gradient_bit_for_bit(self, plane):
+        got_x, got_y = gradient_arr(plane)
+        ref_x, ref_y = oracles.gradient(plane)
+        assert np.array_equal(got_x, ref_x)
+        assert np.array_equal(got_y, ref_y)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+    def test_grid_too_small(self, shape):
+        with pytest.raises(GridTooSmall):
+            gradient_arr(np.ones(shape))
+
     def test_constant_image(self):
         gx, gy = gradient_arr(np.full((5, 5), 0.7))
         assert np.array_equal(np.stack((gx, gy)), np.zeros((2, 5, 5)))
@@ -117,6 +146,11 @@ class TestLaplacian:
 
 
 class TestDownsample2:
+    @BYTE_IDENTITY
+    @given(planes())
+    def test_matches_block_mean_bit_for_bit(self, plane):
+        assert np.array_equal(downsample2_arr(plane), oracles.downsample2(plane))
+
     def test_constant(self):
         out = downsample2_arr(np.full((6, 6), 0.3))
         assert np.allclose(out, 0.3)

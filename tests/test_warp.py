@@ -51,6 +51,20 @@ class TestFusedSampler:
 
     @SETTINGS
     @given(planes_and_coordinates())
+    def test_matches_fused_expressions_bit_for_bit(self, case):
+        # The sampler computes into its own temporaries; the values are
+        # those of the plain expressions, and the caller's coordinates stay.
+        plane, xs, ys = case
+        xs_in, ys_in = xs.copy(), ys.copy()
+        for grad in (False, True):
+            got = bilinear_many(plane, xs, ys, grad)
+            ref = oracles.bilinear_many_fused(plane, xs, ys, grad)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert np.array_equal(xs, xs_in) and np.array_equal(ys, ys_in)
+
+    @SETTINGS
+    @given(planes_and_coordinates())
     def test_out_of_view_is_zero_and_flagged(self, case):
         plane, xs, ys = case
         h, w = plane.shape
