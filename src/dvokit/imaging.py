@@ -207,14 +207,14 @@ def downsample2_arr(data):
     h, w = data.shape
     if h < 2 or w < 2:
         raise GridTooSmall("2x2 pooling needs at least a 2x2 raster")
-    h2, w2 = 2 * (h // 2), 2 * (w // 2)
-    top_right, bottom_left = data[0:h2:2, 1:w2:2], data[1:h2:2, 0:w2:2]
-    bottom_right = data[1:h2:2, 1:w2:2]
-    # Summed in the order numpy's mean over the 2x2 blocks sums them, so
-    # the values are those of reshape(h2 / 2, 2, w2 / 2, 2).mean(axis=(1, 3)):
-    # pairwise, except that a single output column is summed in sequence.
-    out = data[0:h2:2, 0:w2:2] + top_right
-    if w2 == 2:
+    he, we = h - h % 2, w - w % 2  # even extents
+    top_left, top_right = data[0:he:2, 0:we:2], data[0:he:2, 1:we:2]
+    bottom_left, bottom_right = data[1:he:2, 0:we:2], data[1:he:2, 1:we:2]
+    # Each block is summed in the order numpy's mean over axes (1, 3) of the
+    # (he/2, 2, we/2, 2) block view sums it, so the values are that mean's:
+    # pairwise, but in sequence when the output has a single column.
+    out = top_left + top_right
+    if we == 2:
         out += bottom_left
         out += bottom_right
     else:
