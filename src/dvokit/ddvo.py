@@ -143,7 +143,8 @@ def _unroll(levels, R, t, iters):
         trail = []
         for _ in range(iters):
             sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-            delta, H = gauss_newton_step(system, sampled, in_view_weights(mask))
+            wvec, _ = in_view_weights(mask)
+            delta, H = gauss_newton_step(system, (system.ref_flat - sampled) * wvec, wvec)
             R_next, t_next, Rd = update_pose(delta, R, t)
             trail.append(_IterRecord(R, t, H, delta, Rd))
             R, t = R_next, t_next

@@ -19,7 +19,9 @@ its frozen-Jacobian replay share:
 * ``update_pose`` applies the step to the pose, kept as a matrix pair
   ``(R, t)`` within a level.
 
-Each caller warps the source itself and hands the samples to the step.
+Each caller warps the source itself, forms the weighted residual
+``wvec * (ref - sampled)`` once and hands it to the step; DVO also takes
+its mean square from it.
 
 ``solve_coarse_to_fine`` is the one DVO entry point.  It runs
 ``solve_level_arrays`` on each level of the walk, hands each level's
@@ -178,34 +180,36 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
 
 
 def in_view_weights(mask):
-    """The in-view mask as 0/1 weights; DegenerateOverlap below ``MIN_VALID_FRACTION``."""
-    wvec = mask.astype(float)
-    valid_fraction = wvec.mean()
-    if valid_fraction < MIN_VALID_FRACTION:
-        raise DegenerateOverlap(f"only {valid_fraction:.1%} of pixels remained in view")
-    return wvec
+    """The in-view mask as 0/1 weights, and the number of points in view;
+    DegenerateOverlap when that is below ``MIN_VALID_FRACTION`` of them."""
+    n_in = np.count_nonzero(mask)
+    if n_in / mask.size < MIN_VALID_FRACTION:
+        raise DegenerateOverlap(f"only {n_in / mask.size:.1%} of pixels remained in view")
+    return mask.astype(float), n_in
 
 
-def gauss_newton_step(system: LevelSystem, sampled, wvec):
-    """One damped Gauss-Newton step from the warped source samples.
+def gauss_newton_step(system: LevelSystem, residual, wvec):
+    """One damped Gauss-Newton step from the weighted residual.
 
-    ``sampled`` is what ``warp.warp_and_sample`` returns at the current
-    pose, and ``wvec`` the ``in_view_weights`` of its mask.  Returns
+    ``residual`` is ``W r = wvec * (ref - sampled)``, where ``sampled`` is
+    what ``warp.warp_and_sample`` returns at the current pose and ``wvec``
+    the ``in_view_weights`` of its mask.  Returns
     ``(delta, H)``: the step ``delta = (J^T W J + lambda I)^-1 J^T W r``
     on ``(t, omega)``, with ``W = diag(wvec)``, and the damped normal
     matrix ``H``.
 
     The weights are 0 or 1, so ``H`` is the level's ``system.H`` less
     ``J_out^T J_out`` over the rows ``J_out`` of the points out of view,
-    an exact downdate that costs only those rows.  The residual
-    ``W r = W (ref - sampled)`` is formed before it meets ``J``.
+    an exact downdate that costs only those rows.  The residual is
+    formed before it meets ``J``, so the step carries the rounding of
+    ``ref - sampled`` alone.
     """
     J = system.J
     J_out = J[wvec == 0.0]
     H = system.H - J_out.T @ J_out
     if not _well_conditioned(H):
         raise SingularSystem("weighted normal equations became singular")
-    delta = np.linalg.solve(H, J.T @ (wvec * (system.ref_flat - sampled)))
+    delta = np.linalg.solve(H, J.T @ residual)
     return delta, H
 
 
@@ -230,9 +234,9 @@ def update_pose(delta, R, t):
     return Rd @ R, Rd @ t + delta[:3], Rd
 
 
-def _mean_sq(ref_flat, sampled, wvec):
-    r = (ref_flat - sampled) * wvec
-    return float(np.sum(r * r) / np.sum(wvec))
+def _mean_sq(residual, n_in):
+    """Mean of the squared weighted residual over the ``n_in`` points in view."""
+    return float(np.sum(residual * residual) / n_in)
 
 
 def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSettings):
@@ -247,14 +251,14 @@ def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSett
     residuals = []
     for _ in range(settings.max_iters_per_level):
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        wvec = in_view_weights(mask)
-        valid_fraction = float(wvec.mean())
-        mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
+        wvec, n_in = in_view_weights(mask)
+        residual = (system.ref_flat - sampled) * wvec
+        mean_sq = _mean_sq(residual, n_in)
         if tol > 0.0 and residuals and residuals[-1] - mean_sq < tol * residuals[-1]:
             reason = "stalled"
             break
         residuals.append(mean_sq)
-        delta, _ = gauss_newton_step(system, sampled, wvec)
+        delta, _ = gauss_newton_step(system, residual, wvec)
         R, t, _ = update_pose(delta, R, t)
         if np.linalg.norm(delta) < settings.step_norm_tol:
             reason = "converged"
@@ -265,12 +269,11 @@ def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSett
     if reason != "stalled":
         # Residual and validity at the returned pose.
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        wvec = mask.astype(float)
-        if wvec.sum() > 0:
-            mean_sq = _mean_sq(system.ref_flat, sampled, wvec)
-            valid_fraction = float(wvec.mean())
+        if mask.any():
+            n_in = np.count_nonzero(mask)
+            mean_sq = _mean_sq((system.ref_flat - sampled) * mask, n_in)
     residuals.append(mean_sq)
-    return R, t, residuals, reason, valid_fraction
+    return R, t, residuals, reason, float(n_in / mask.size)
 
 
 def solve_coarse_to_fine(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,

@@ -110,48 +110,52 @@ def bilinear_many(plane, xs, ys, grad=False):
     h, w = plane.shape
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    # The clipped coordinates are this call's own, so every later
-    # temporary is computed into one of them; the operations and their
-    # order are those of the plain formulas in the comments.
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
+    # Every temporary is a plane this call owns, and each result is
+    # computed into one of them; the operations and their order are those
+    # of the plain formulas in the comments.  The planes are separate
+    # arrays: one buffer holding all of them cost more in page faults.
+    fx, fy, x0, y0, vals, v01, v10, v11 = (np.empty(xs.shape) for _ in range(8))
+    xc = np.clip(xs, 0.0, w - 1.0, out=fx)
+    yc = np.clip(ys, 0.0, h - 1.0, out=fy)
     in_view = xc == xs
     in_view &= yc == ys
-    x0 = np.floor(xc)
+    np.floor(xc, out=x0)
     np.minimum(x0, w - 2, out=x0)
-    y0 = np.floor(yc)
+    np.floor(yc, out=y0)
     np.minimum(y0, h - 2, out=y0)
-    fx = np.subtract(xc, x0, out=xc)
-    fy = np.subtract(yc, y0, out=yc)
+    fx -= x0  # fx = xc - x0
+    fy -= y0  # fy = yc - y0
     # cell = y0 * w + x0
     y0 *= w
     y0 += x0
     cell = y0.astype(np.intp)
     flat = plane.ravel()
-    v00 = flat.take(cell)
-    v01 = flat[1:].take(cell)
-    v10 = flat[w:].take(cell)
-    v11 = flat[w + 1:].take(cell)
+    # The cells are in range, so "clip" changes no index; it lets take
+    # write into its output directly.
+    flat.take(cell, out=vals, mode="clip")  # v00
+    flat[1:].take(cell, out=v01, mode="clip")
+    flat[w:].take(cell, out=v10, mode="clip")
+    flat[w + 1:].take(cell, out=v11, mode="clip")
     # Keep the a*(1-f) + b*f form: it returns the stored value bit for bit
     # at lattice points, where a + (b-a)*f need not.
     wx0 = np.subtract(1.0, fx, out=x0)
-    wy0 = 1.0 - fy
+    wy0 = np.subtract(1.0, fy, out=y0)
     if grad:
+        gx, gy, tmp = (np.empty(xs.shape) for _ in range(3))
         # gx = (v01 - v00) * wy0 + (v11 - v10) * fy
-        # gy = (v10 - v00) * wx0 + (v11 - v01) * fx
-        tmp = np.subtract(v11, v10)
+        np.subtract(v11, v10, out=tmp)
         tmp *= fy
-        gx = np.subtract(v01, v00)
+        np.subtract(v01, vals, out=gx)
         gx *= wy0
         gx += tmp
+        # gy = (v10 - v00) * wx0 + (v11 - v01) * fx
         np.subtract(v11, v01, out=tmp)
         tmp *= fx
-        gy = np.subtract(v10, v00)
+        np.subtract(v10, vals, out=gy)
         gy *= wx0
         gy += tmp
     # top = v00 * wx0 + v01 * fx; bot = v10 * wx0 + v11 * fx
     # vals = top * wy0 + bot * fy
-    vals = v00
     vals *= wx0
     v01 *= fx
     vals += v01
@@ -196,10 +200,24 @@ def gradient_arr(plane):
 
 
 def laplacian_arr(plane):
-    """|4-neighbor Laplacian| with replicate padding at the borders."""
-    p = np.pad(plane, 1, mode="edge")
-    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
-    return np.abs(lap)
+    """|4-neighbor Laplacian| with replicate padding at the borders.
+
+    The padded plane is written from direct slices (the values of
+    ``np.pad(plane, 1, mode="edge")``), and the sum is taken in place.
+    """
+    h, w = plane.shape
+    p = np.empty((h + 2, w + 2))
+    p[1:-1, 1:-1] = plane
+    p[0, 1:-1] = plane[0]
+    p[-1, 1:-1] = plane[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
+    # lap = up + down + left + right - 4 * center
+    lap = p[:-2, 1:-1] + p[2:, 1:-1]
+    lap += p[1:-1, :-2]
+    lap += p[1:-1, 2:]
+    lap -= 4.0 * p[1:-1, 1:-1]
+    return np.abs(lap, out=lap)
 
 
 def downsample2_arr(data):

@@ -19,6 +19,12 @@ the seed ``ddvo.ddvo_backward`` takes; a caller that optimizes exponential
 coordinates converts with ``geometry.so3_exp_vjp``.  Depth gradients are
 gathered per pyramid level and lifted to the finest grid once per frame.
 
+The finest scale's SSIM (``ssim``) forms its map in place and keeps, for
+its backward, only the map's derivatives with respect to the three box
+means that depend on the warped image, stacked in one array; the
+backward scales them by the incoming gradient and sends each back
+through the adjoint box (``_box3_adjoint``), a column pass and a row pass.
+
 A structural property worth naming: the appearance terms are invariant
 under the joint rescaling (D, t) -> (s*D, t/s) because the warp only
 ever sees the product d*t, while the smoothness prior is positively
@@ -128,18 +134,33 @@ def normalize_inverse_depth_vjp(values, grad_out):
 
 
 def _box3(a):
-    """3x3 box mean, valid region only: (H, W) -> (H-2, W-2)."""
-    rows = a[:-2] + a[1:-1] + a[2:]
-    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+    """3x3 box mean over the last two axes, valid region only:
+    (..., H, W) -> (..., H-2, W-2).  A row pass, then a column pass."""
+    rows = a[..., :-2, :] + a[..., 1:-1, :]
+    rows += a[..., 2:, :]
+    out = rows[..., :-2] + rows[..., 1:-1]
+    out += rows[..., 2:]
+    out /= 9.0
+    return out
 
 
-def _box3_adjoint(g, shape):
-    """Adjoint of ``_box3``: scatter each window mean back to its pixels."""
-    out = np.zeros(shape)
-    for i in range(3):
-        for j in range(3):
-            out[i:i + g.shape[0], j:j + g.shape[1]] += g
-    return out / 9.0
+def _box3_adjoint(g):
+    """Adjoint of ``_box3``, (..., H-2, W-2) -> (..., H, W): each window
+    mean goes back to its nine pixels.  The transpose of the column pass,
+    then that of the row pass."""
+    *lead, h, w = g.shape
+    cols = np.empty((*lead, h, w + 2))
+    cols[..., :-2] = g
+    cols[..., -2:] = 0.0
+    cols[..., 1:-1] += g
+    cols[..., 2:] += g
+    out = np.empty((*lead, h + 2, w + 2))
+    out[..., :-2, :] = cols
+    out[..., -2:, :] = 0.0
+    out[..., 1:-1, :] += cols
+    out[..., 2:, :] += cols
+    out /= 9.0
+    return out
 
 
 def ssim(a, b):
@@ -147,6 +168,12 @@ def ssim(a, b):
 
     Returns ``(map, backward)``: the map has shape (H-2, W-2), and
     ``backward`` maps d loss/d SSIM to d loss/d b (``a`` is held fixed).
+    The map is formed in place, in the order of the plain formulas in the
+    comments, so its values are theirs bit for bit.  Its derivatives with
+    respect to the three box means that depend on ``b`` (of ``b``,
+    ``b * b`` and ``a * b``) are formed here too, and they are all that
+    ``backward`` keeps: it scales them by its input and sends each back
+    through the adjoint box.
     """
     if a.shape != b.shape:
         raise ShapeMismatch("SSIM inputs must share a grid")
@@ -155,35 +182,66 @@ def ssim(a, b):
     c1, c2 = SSIM_C1, SSIM_C2
     mu_a = _box3(a)
     mu_b = _box3(b)
-    e_aa = _box3(a * a)
-    e_bb = _box3(b * b)
-    e_ab = _box3(a * b)
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
-    lum_n = 2.0 * mu_a * mu_b + c1
-    lum_d = mu_a * mu_a + mu_b * mu_b + c1
-    str_n = 2.0 * cov + c2
-    str_d = var_a + var_b + c2
-    s = (lum_n * str_n) / (lum_d * str_d)
+    prod = a * a
+    e_aa = _box3(prod)
+    np.multiply(b, b, out=prod)
+    e_bb = _box3(prod)
+    np.multiply(a, b, out=prod)
+    e_ab = _box3(prod)
+    sq_a = mu_a * mu_a
+    sq_b = mu_b * mu_b
+    var_a = np.subtract(e_aa, sq_a, out=e_aa)  # e_aa - mu_a * mu_a
+    var_b = np.subtract(e_bb, sq_b, out=e_bb)  # e_bb - mu_b * mu_b
+    ab = mu_a * mu_b
+    cov = np.subtract(e_ab, ab, out=e_ab)  # e_ab - mu_a * mu_b
+    # lum_n = 2.0 * mu_a * mu_b + c1
+    lum_n = np.multiply(mu_a, 2.0, out=ab)
+    lum_n *= mu_b
+    lum_n += c1
+    # lum_d = mu_a * mu_a + mu_b * mu_b + c1
+    lum_d = np.add(sq_a, sq_b, out=sq_a)
+    lum_d += c1
+    # str_n = 2.0 * cov + c2
+    str_n = np.multiply(cov, 2.0, out=cov)
+    str_n += c2
+    # str_d = var_a + var_b + c2
+    str_d = np.add(var_a, var_b, out=var_a)
+    str_d += c2
+    # s = (lum_n * str_n) / (lum_d * str_d)
+    s = lum_n * str_n
+    den = np.multiply(lum_d, str_d, out=sq_b)
+    s /= den
+
+    # d s / d (mu_b, e_bb, e_ab), with a held fixed:
+    #   d_mu = 2 mu_a (str_n - lum_n) / den + 2 mu_b (s / str_d - s / lum_d)
+    #   d_bb = -s / str_d
+    #   d_ab = 2 lum_n / den
+    coef = np.empty((3, *s.shape))
+    d_mu, d_bb, d_ab = coef
+    s_str = np.divide(s, str_d, out=d_bb)
+    tmp = np.divide(s, lum_d, out=var_b)  # var_b is spent
+    np.subtract(s_str, tmp, out=tmp)
+    tmp *= mu_b
+    np.subtract(str_n, lum_n, out=d_mu)
+    d_mu /= den
+    d_mu *= mu_a
+    d_mu += tmp
+    d_mu *= 2.0
+    np.negative(s_str, out=d_bb)
+    np.divide(lum_n, den, out=d_ab)
+    d_ab *= 2.0
 
     def backward(g_s):
-        # Partials with respect to the b-side raw moments (a is constant).
-        g_lum_n = g_s * str_n / (lum_d * str_d)
-        g_str_n = g_s * lum_n / (lum_d * str_d)
-        g_lum_d = -g_s * s / lum_d
-        g_str_d = -g_s * s / str_d
-        g_mu_b = (
-            2.0 * mu_a * g_lum_n
-            + 2.0 * mu_b * g_lum_d
-            - 2.0 * mu_a * g_str_n  # cov = e_ab - mu_a mu_b
-            - 2.0 * mu_b * g_str_d  # var_b = e_bb - mu_b^2
-        )
-        g_e_bb = g_str_d
-        g_e_ab = 2.0 * g_str_n
-        g_b = _box3_adjoint(g_mu_b, b.shape)
-        g_b += _box3_adjoint(g_e_bb, b.shape) * 2.0 * b
-        g_b += _box3_adjoint(g_e_ab, b.shape) * a
+        # The box means came from (b, b * b, a * b), whose derivatives
+        # with respect to b are (1, 2 b, a).  One adjoint box per mean: a
+        # single box over the three stacked planes needs buffers three
+        # planes large, which cost more in page faults than they save.
+        g_b, g_bb, g_ab = (_box3_adjoint(d * g_s) for d in coef)
+        g_bb *= 2.0
+        g_bb *= b
+        g_ab *= a
+        g_b += g_bb
+        g_b += g_ab
         return g_b
 
     return s, backward
@@ -209,11 +267,14 @@ def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
     warped, mask, lin = warp_and_sample(src_gray, X, R, t, k, grad=True)
     warped = warped.reshape(h, w)
     mask = mask.reshape(h, w)
-    if float(mask.mean()) < MIN_VALID_FRACTION:
-        raise DegenerateOverlap(f"only {mask.mean():.1%} of pixels warp in view")
+    # The in-view fraction and counts are taken by counting, which is
+    # exact for a mask and cheaper than its mean or sum.
+    n_in = np.count_nonzero(mask)
+    if n_in / mask.size < MIN_VALID_FRACTION:
+        raise DegenerateOverlap(f"only {n_in / mask.size:.1%} of pixels warp in view")
 
     if scale_index != 0:
-        count = float(np.sum(mask))
+        count = float(n_in)
         diff = (ref_gray - warped) * mask
         loss = float(np.sum(np.abs(diff))) / count
         g_warped = -np.sign(diff) / count
@@ -225,7 +286,7 @@ def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
         filled = np.where(mask, warped, ref_gray)
         s_map, ssim_back = ssim(ref_gray, filled)
         interior_mask = mask[1:-1, 1:-1]
-        count = float(np.sum(interior_mask))
+        count = float(np.count_nonzero(interior_mask))
         if count == 0.0:
             raise DegenerateOverlap("no interior pixels warp in view")
         diff = (ref_gray - filled)[1:-1, 1:-1] * interior_mask

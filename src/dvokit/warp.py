@@ -77,11 +77,14 @@ def warp_and_sample(plane, X, R, t, k: CameraIntrinsics, grad=False):
     xs += k.cx
     ys += k.cy
     sampled = bilinear_many(plane, xs, ys, grad)
-    mask = front & sampled[1]
+    mask = sampled[1]
+    mask &= front
     if not grad:
         return sampled[0], mask
     values, _, gx, gy = sampled
-    return values, mask, WarpLinearization(mask, up, vp, z, gx * k.fx, gy * k.fy)
+    gx *= k.fx
+    gy *= k.fy
+    return values, mask, WarpLinearization(mask, up, vp, z, gx, gy)
 
 
 def warp_vjp(X, t, lin: WarpLinearization, g):
@@ -92,11 +95,22 @@ def warp_vjp(X, t, lin: WarpLinearization, g):
     ``geometry.so3_exp_vjp`` for the step to exponential coordinates).
     Masked-out samples are constant and pass no gradient.
     """
-    g = np.where(lin.mask, g, 0.0)
-    # Projection u' = P_x / P_z and v' = P_y / P_z, then P = [R | t] @ X.
+    # g_P = d loss/d P; its last row holds the masked g until it is
+    # needed for g_P's own.  The operations and their order are those of
+    # the plain formulas in the comments.
     g_P = np.empty((3, g.size))
-    np.divide(g * lin.gu, lin.z, out=g_P[0])
-    np.divide(g * lin.gv, lin.z, out=g_P[1])
-    g_P[2] = -(lin.up * g_P[0] + lin.vp * g_P[1])
+    tmp = np.empty(g.size)
+    masked = g_P[2]
+    masked.fill(0.0)
+    np.copyto(masked, g, where=lin.mask)  # masked = where(mask, g, 0)
+    # Projection u' = P_x / P_z and v' = P_y / P_z, then P = [R | t] @ X.
+    np.multiply(masked, lin.gu, out=g_P[0])
+    g_P[0] /= lin.z  # g_P[0] = masked * gu / z
+    np.multiply(masked, lin.gv, out=g_P[1])
+    g_P[1] /= lin.z  # g_P[1] = masked * gv / z
+    np.multiply(lin.up, g_P[0], out=g_P[2])
+    np.multiply(lin.vp, g_P[1], out=tmp)
+    g_P[2] += tmp
+    np.negative(g_P[2], out=g_P[2])  # g_P[2] = -(up * g_P[0] + vp * g_P[1])
     g_Rt = g_P @ X.T
     return t @ g_P, g_Rt[:, 3], g_Rt[:, :3]

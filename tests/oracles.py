@@ -86,10 +86,104 @@ def bilinear_many_fused(plane, xs, ys, grad=False):
     return vals, in_view, gx, gy
 
 
+def warp_and_sample(plane, X, R, t, k, grad=False):
+    """``warp.warp_and_sample`` as plain expressions, one temporary per
+    operation, sampling through ``bilinear_many_fused``.  With ``grad=True``
+    the linearization is the tuple ``(mask, up, vp, z, gu, gv)``."""
+    from dvokit.geometry import EPSILON_Z
+
+    P = np.column_stack((R, t)) @ X
+    front = P[2] > EPSILON_Z
+    z = np.where(front, P[2], 1.0)
+    up = P[0] / z
+    vp = P[1] / z
+    sampled = bilinear_many_fused(plane, up * k.fx + k.cx, vp * k.fy + k.cy, grad)
+    mask = front & sampled[1]
+    if not grad:
+        return sampled[0], mask
+    values, _, gx, gy = sampled
+    return values, mask, (mask, up, vp, z, gx * k.fx, gy * k.fy)
+
+
+def warp_vjp(X, t, lin, g):
+    """``warp.warp_vjp`` as plain expressions, one temporary per operation."""
+    mask, up, vp, z, gu, gv = lin
+    g = np.where(mask, g, 0.0)
+    g_u = g * gu / z
+    g_v = g * gv / z
+    g_P = np.stack((g_u, g_v, -(up * g_u + vp * g_v)))
+    g_Rt = g_P @ X.T
+    return t @ g_P, g_Rt[:, 3], g_Rt[:, :3]
+
+
+def _box3(a):
+    """3x3 box mean, valid region only: (H, W) -> (H-2, W-2)."""
+    rows = a[:-2] + a[1:-1] + a[2:]
+    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+
+
+def _box3_adjoint(g, shape):
+    """Adjoint of ``_box3``: scatter each window mean back to its pixels."""
+    out = np.zeros(shape)
+    for i in range(3):
+        for j in range(3):
+            out[i:i + g.shape[0], j:j + g.shape[1]] += g
+    return out / 9.0
+
+
+def ssim(a, b):
+    """``losses.ssim`` as plain expressions: five separate box means, and
+    a backward that sends each moment's gradient through its own adjoint
+    box.  Returns ``(map, backward)``."""
+    from dvokit.losses import SSIM_C1 as c1, SSIM_C2 as c2
+
+    mu_a = _box3(a)
+    mu_b = _box3(b)
+    e_aa = _box3(a * a)
+    e_bb = _box3(b * b)
+    e_ab = _box3(a * b)
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    lum_n = 2.0 * mu_a * mu_b + c1
+    lum_d = mu_a * mu_a + mu_b * mu_b + c1
+    str_n = 2.0 * cov + c2
+    str_d = var_a + var_b + c2
+    s = (lum_n * str_n) / (lum_d * str_d)
+
+    def backward(g_s):
+        # Partials with respect to the b-side raw moments (a is constant).
+        g_lum_n = g_s * str_n / (lum_d * str_d)
+        g_str_n = g_s * lum_n / (lum_d * str_d)
+        g_lum_d = -g_s * s / lum_d
+        g_str_d = -g_s * s / str_d
+        g_mu_b = (
+            2.0 * mu_a * g_lum_n
+            + 2.0 * mu_b * g_lum_d
+            - 2.0 * mu_a * g_str_n  # cov = e_ab - mu_a mu_b
+            - 2.0 * mu_b * g_str_d  # var_b = e_bb - mu_b^2
+        )
+        g_e_bb = g_str_d
+        g_e_ab = 2.0 * g_str_n
+        g_b = _box3_adjoint(g_mu_b, b.shape)
+        g_b += _box3_adjoint(g_e_bb, b.shape) * 2.0 * b
+        g_b += _box3_adjoint(g_e_ab, b.shape) * a
+        return g_b
+
+    return s, backward
+
+
 def gradient(plane):
     """``imaging.gradient_arr`` through ``np.gradient``: ``(d/dx, d/dy)``."""
     gy, gx = np.gradient(plane)
     return gx, gy
+
+
+def laplacian(plane):
+    """``imaging.laplacian_arr`` on an ``np.pad`` replicate border."""
+    p = np.pad(plane, 1, mode="edge")
+    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
+    return np.abs(lap)
 
 
 def downsample2(data):

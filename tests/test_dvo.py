@@ -5,7 +5,7 @@ from dvokit.bundled import large_motion_pair, small_motion_pair
 from dvokit import dvo
 from dvokit.ddvo import DdvoSettings, ddvo_forward
 from dvokit.dvo import DvoResult, DvoSettings, build_jacobian, solve_coarse_to_fine
-from dvokit.errors import GridTooSmall, ShapeMismatch, SingularSystem
+from dvokit.errors import DegenerateOverlap, GridTooSmall, ShapeMismatch, SingularSystem
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from dvokit.imaging import bilinear_many
 from dvokit.synth import SceneSpec, make_pair, make_scene
@@ -93,7 +93,7 @@ class TestNormalMatrix:
         n = J.shape[0]
         wvec = np.zeros(n)
         wvec[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = 1.0
-        _, H = dvo.gauss_newton_step(system, src.ravel(), wvec)
+        _, H = dvo.gauss_newton_step(system, (system.ref_flat - src.ravel()) * wvec, wvec)
         lam = dvo.DAMPING_COEFF * np.sum(J * J) / 6.0 if damping is None else damping
         expected = J.T @ (J * wvec[:, None]) + lam * np.eye(6)
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -101,7 +101,7 @@ class TestNormalMatrix:
     def test_every_point_in_view_returns_the_level_matrix(self):
         ref, depth, src, _, k = small_motion_pair(0)
         _, _, system = finest_system(ref, depth, src, k)
-        _, H = dvo.gauss_newton_step(system, src.ravel(), np.ones(ref.size))
+        _, H = dvo.gauss_newton_step(system, system.ref_flat - src.ravel(), np.ones(ref.size))
         assert np.array_equal(H, system.H)
 
     def test_singular_when_only_untextured_points_stay_in_view(self):
@@ -116,7 +116,14 @@ class TestNormalMatrix:
         untextured = ~system.J.any(axis=1)
         assert untextured.mean() >= MIN_VALID_FRACTION
         with pytest.raises(SingularSystem):
-            dvo.gauss_newton_step(system, ref.ravel(), untextured.astype(float))
+            dvo.gauss_newton_step(system, np.zeros(ref.size), untextured.astype(float))
+
+    def test_in_view_weights_count_the_points_in_view(self):
+        wvec, n_in = dvo.in_view_weights(np.array([True, False, True, True]))
+        assert wvec.dtype == float and wvec.tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert n_in == 3
+        with pytest.raises(DegenerateOverlap):
+            dvo.in_view_weights(np.array([True, False, False, False, False]))
 
     def test_step_ignores_a_common_intensity_offset(self):
         # At the true pose the residual is small against the intensities.
@@ -126,10 +133,10 @@ class TestNormalMatrix:
         src_level, k_level, system = finest_system(ref, depth, src, k)
         sampled, mask = warp_and_sample(src_level, system.X, so3_exp(pose.omega), pose.t,
                                         k_level)
-        wvec = dvo.in_view_weights(mask)
-        delta, _ = dvo.gauss_newton_step(system, sampled, wvec)
-        shifted = system._replace(ref_flat=system.ref_flat + 1e3)
-        delta_shifted, _ = dvo.gauss_newton_step(shifted, sampled + 1e3, wvec)
+        wvec, _ = dvo.in_view_weights(mask)
+        delta, _ = dvo.gauss_newton_step(system, (system.ref_flat - sampled) * wvec, wvec)
+        shifted = (system.ref_flat + 1e3 - (sampled + 1e3)) * wvec
+        delta_shifted, _ = dvo.gauss_newton_step(system, shifted, wvec)
         assert np.linalg.norm(delta_shifted - delta) <= 1e-9 * np.linalg.norm(delta)
 
     def test_too_small_level_raises_grid_too_small(self):

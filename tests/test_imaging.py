@@ -127,6 +127,16 @@ class TestSpatialGradient:
 
 
 class TestLaplacian:
+    @BYTE_IDENTITY
+    @given(planes())
+    def test_matches_np_pad_border_bit_for_bit(self, plane):
+        assert laplacian_arr(plane).tobytes() == oracles.laplacian(plane).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)])
+    def test_thin_planes_match_np_pad_border(self, shape):
+        plane = np.random.default_rng(4).normal(size=shape)
+        assert laplacian_arr(plane).tobytes() == oracles.laplacian(plane).tobytes()
+
     def test_constant_image(self):
         out = laplacian_arr(np.full((5, 5), 0.4))
         assert np.array_equal(out, np.zeros((5, 5)))

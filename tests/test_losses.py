@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from dvokit import losses
+from dvokit.bundled import training_triplet
 from dvokit.errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
 from dvokit.geometry import CameraIntrinsics, Pose6D, so3_exp, so3_exp_vjp
 from dvokit.losses import (
@@ -12,6 +17,8 @@ from dvokit.losses import (
     appearance_loss,
     normalize_inverse_depth,
     normalize_inverse_depth_vjp,
+    _box3,
+    _box3_adjoint,
     smoothness_prior,
     ssim,
     triplet_loss,
@@ -82,7 +89,78 @@ class TestNormalize:
         assert abs(fd - an) < 1e-6 * max(abs(fd), 1.0)
 
 
+SINGLE_PASS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def ssim_pairs(draw):
+    """A 3x3 to 40x40 pair ``(a, b)`` of intensities, and a map gradient.
+
+    ``b`` is independent of ``a`` or ``a`` plus noise of at least 0.01.
+    Where ``b`` equals ``a`` the gradient vanishes while its terms do not,
+    so any two orders of its rounding differ by much more than 1e-12 of it.
+    """
+    h = draw(st.integers(3, 40))
+    w = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(0.0, 1.0, size=(h, w))
+    noise = draw(st.sampled_from([None, 0.3, 0.05, 0.01]))
+    b = rng.uniform(0.0, 1.0, size=(h, w)) if noise is None else a + rng.normal(
+        scale=noise, size=(h, w))
+    return a, b, rng.normal(size=(h - 2, w - 2))
+
+
 class TestSsim:
+    @SINGLE_PASS
+    @given(st.integers(3, 40), st.integers(3, 40), st.sampled_from([(), (3,), (2, 2)]),
+           st.integers(0, 2**32 - 1))
+    def test_box_adjoint_is_the_transpose(self, h, w, lead, seed):
+        # <_box3(x), g> == <x, _box3_adjoint(g)>, plane by plane when stacked.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, h, w))
+        g = rng.normal(size=(*lead, h - 2, w - 2))
+        boxed, back = _box3(x), _box3_adjoint(g)
+        assert boxed.shape == g.shape and back.shape == x.shape
+        lhs, rhs = boxed * g, x * back
+        assert abs(np.sum(lhs) - np.sum(rhs)) <= 1e-12 * np.sum(np.abs(lhs))
+        for i in np.ndindex(lead):
+            assert np.array_equal(boxed[i], _box3(x[i]))
+            assert np.array_equal(back[i], _box3_adjoint(g[i]))
+
+    @SINGLE_PASS
+    @given(ssim_pairs())
+    def test_matches_plain_expressions(self, case):
+        # The map is computed in place in the plain formulas' order, so its
+        # bytes are theirs; the backward takes its three moment gradients
+        # in another order, so it agrees to rounding.
+        a, b, g = case
+        s, backward = ssim(a, b)
+        s_ref, backward_ref = oracles.ssim(a, b)
+        assert s.tobytes() == s_ref.tobytes()
+        g_b, g_ref = backward(g), backward_ref(g)
+        assert g_b.shape == a.shape
+        assert np.max(np.abs(g_b - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        # The backward keeps its inputs: a second call returns the same.
+        assert np.array_equal(backward(g), g_b)
+
+    def test_appearance_loss_matches_the_plain_ssim(self, monkeypatch):
+        # The finest-scale loss on the training clip, ground-truth poses and
+        # depths: the warped samples nearly match, so this is the
+        # cancelling case the loss meets in training.
+        data = training_triplet()
+        ref, src = (data["images"][i].gray() for i in (1, 0))
+        depth = data["gt_inv_depths"][1].values
+        R, t = data["poses"][0].rt()
+        k = data["intrinsics"]
+        for scale in (1.0, 0.9):
+            got = appearance_loss(ref, src, depth * scale, R, t, k, 0)
+            with monkeypatch.context() as m:
+                m.setattr(losses, "ssim", oracles.ssim)
+                ref_out = appearance_loss(ref, src, depth * scale, R, t, k, 0)
+            assert got[0] == ref_out[0]
+            for a, b in zip(got[1:], ref_out[1:]):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_identical_images(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(0.0, 1.0, size=(8, 8))

@@ -126,6 +126,30 @@ def _check_direction(f, theta, direction, analytic, kinks):
     assert abs(numeric - exact) <= 1e-4 * max(abs(numeric), abs(exact), 1e-8)
 
 
+class TestSinglePassWarp:
+    @SETTINGS
+    @given(warp_cases())
+    def test_warp_and_vjp_match_plain_expressions_bit_for_bit(self, case):
+        # The warp and its VJP compute into their own buffers; the samples,
+        # the linearization and the VJP are those of the plain expressions.
+        plane, depth, t, omega, k, g, rng = case
+        R = so3_exp(omega)
+        X = points(k, depth)
+        if rng.random() < 0.5:
+            # Push part of the points behind the camera or out of view.
+            X = X * rng.choice([1.0, -1.0, 4.0], size=X.shape[1])
+        for grad in (False, True):
+            got = warp_and_sample(plane, X, R, t, k, grad)
+            ref = oracles.warp_and_sample(plane, X, R, t, k, grad)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], ref[:2]))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[2], ref[2]))
+        # Samples out of view may carry anything; they pass no gradient.
+        g = np.where(got[1] | (rng.random(g.size) < 0.5), g, np.nan)
+        got_vjp = warp_vjp(X, t, got[2], g)
+        ref_vjp = oracles.warp_vjp(X, t, ref[2], g)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got_vjp, ref_vjp))
+
+
 class TestWarpVjp:
     @SETTINGS
     @given(warp_cases())
