@@ -114,8 +114,6 @@ _FALSE = ("false", "off", "no", "0")
 def _convert(section, key, raw, current):
     """Parse ``raw`` to the type of the field's current value."""
     where = f"{section}.{key}"
-    if raw == "none":
-        return None
     if isinstance(current, bool):
         low = raw.lower()
         if low in _TRUE:
@@ -133,8 +131,6 @@ def _convert(section, key, raw, current):
     if isinstance(current, tuple):
         parts = [p for p in raw.replace(",", " ").split() if p]
         return tuple(_finite_float(where, p) for p in parts)
-    # Remaining fields are floats (including optional floats defaulting
-    # to None, handled by the "none" branch above).
     return _finite_float(where, raw)
 
 

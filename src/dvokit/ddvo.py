@@ -20,8 +20,9 @@ Depth enters the unrolled computation three ways:
 
 (a) inside the warp that resamples the source image each iteration;
 (b) inside the translational columns of the precomputed Jacobian J;
-(c) through the damped normal-equation solve (J^T W J + lambda I)^-1,
-    the pseudo-inverse path, including the trace-scaled default damping.
+(c) through J inside the normal-equation solve (J^T W J + lambda I)^-1,
+    the pseudo-inverse path; the damping lambda is a constant and carries
+    no depth.
 
 Paths (b) and (c) can be switched off (``grad_through_jacobian=False``)
 to measure their contribution; path (a) is always active.
@@ -49,7 +50,6 @@ import numpy as np
 
 from .errors import TapeMismatch
 from .dvo import (
-    DAMPING_COEFF,
     LevelSystem,
     gauss_newton_step,
     in_view_weights,
@@ -89,13 +89,13 @@ class DdvoSettings:
 
     unroll_iters: int = 3
     levels: int = 1
-    damping: float | None = None
+    damping: float = 0.0
     grad_through_jacobian: bool = True
 
     def __post_init__(self):
         if self.unroll_iters < 1 or self.levels < 1:
             raise ValueError("unroll_iters and levels must be >= 1")
-        if self.damping is not None and not self.damping >= 0.0:
+        if not self.damping >= 0.0:
             raise ValueError("damping must be non-negative")
 
 
@@ -200,14 +200,12 @@ def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
 
     level_grads = []  # finest first
     through_j = tape.settings.grad_through_jacobian
-    default_lam = tape.settings.damping is None
 
     # Levels were executed coarsest -> finest and stored in that order.
     for level in reversed(tape.levels):
         # Only the translational columns of J carry depth, as d * A.T.
         J, X, A = level.system.J, level.system.X, level.system.A
         g_d_level = np.zeros(X.shape[1])
-        g_lam = 0.0
 
         for it in reversed(level.iters):
             R, t, H, delta, Rd = it.R, it.t, it.H, it.delta, it.Rd
@@ -232,16 +230,12 @@ def ddvo_backward(tape: DdvoTape, seed) -> np.ndarray:
                 Aq, Ad = np.stack((q[:3], delta[:3])) @ A
                 r = level.system.ref_flat - sampled
                 g_d_level += mask * ((r - Jd) * Aq - Jq * Ad)
-                g_lam -= float(q @ delta)
 
             # r = ref - warped source, so the samples see -W J q.
             g_d, g_t_warp, g_R_warp = warp_vjp(X, t, lin, -Jq)
             g_d_level += g_d
             g_R, g_t = g_R_prev + g_R_warp, g_t_prev + g_t_warp
 
-        if through_j and default_lam:
-            # lambda = c * sum(J*J) / 6, and J[:, :3] = d * A.T.
-            g_d_level += g_lam * (DAMPING_COEFF / 3.0) * X[3] * np.sum(A * A, axis=0)
         level_grads.append(g_d_level.reshape(level.src_gray.shape))
         if contracted:
             break

@@ -11,8 +11,9 @@ solver comes in three pieces that the unrolled solver in ``ddvo`` and
 its frozen-Jacobian replay share:
 
 * ``level_systems`` walks the pyramid levels, building each level's
-  Jacobian ``J`` and its damped normal matrix ``H = J^T J + lambda I``
-  once on the reference image;
+  Jacobian ``J`` and its normal matrix ``H = J^T J + lambda I`` once on
+  the reference image; the damping ``lambda`` is a constant, 0 (plain
+  Gauss-Newton) by default;
 * ``gauss_newton_step`` subtracts the rows of the pixels out of view
   from ``H`` each iteration (an exact downdate: the weights are 0 or 1)
   and solves the 6x6 system, so masked-out pixels leave it entirely;
@@ -62,13 +63,6 @@ from .warp import MIN_VALID_FRACTION, points, warp_and_sample
 # Condition-number ceiling for the damped normal equations.
 MAX_CONDITION = 1e12
 
-# Trace coefficient of the default damping, lambda = c * sum(J*J) / 6.  It
-# breaks the solvers' scale equivariance ((s D) -> (R, t / s)): J's
-# translational columns scale with s, and lambda with them.  At s = 0.5 and
-# 3 it moved DVO's pose by up to 2.2e-5 relative and the DDVO depth gradient
-# by up to 2.4e-6 (README, "Scale"); damping = 0 is exact to ~1e-12.
-DAMPING_COEFF = 1e-6
-
 
 @dataclass(frozen=True)
 class DvoSettings:
@@ -78,9 +72,9 @@ class DvoSettings:
     max_iters_per_level: int = 20
     step_norm_tol: float = 1e-8
     residual_rel_tol: float = 1e-4  # 0 turns the stall rule off
-    # None = 1e-6 * trace(J^T J) / 6 per level, which is not scale-equivariant
-    # (see DAMPING_COEFF); 0 keeps (s D) -> (R, t / s) exact.
-    damping: float | None = None
+    # lambda in J^T J + lambda I; 0 keeps (s D) -> (R, t / s) exact, and any
+    # lambda > 0 breaks it (J's translational columns scale with s).
+    damping: float = 0.0
 
     def __post_init__(self):
         if self.levels < 1 or self.max_iters_per_level < 1:
@@ -89,7 +83,7 @@ class DvoSettings:
             raise ValueError("step_norm_tol must be positive")
         if not self.residual_rel_tol >= 0.0:
             raise ValueError("residual_rel_tol must be non-negative")
-        if self.damping is not None and not self.damping >= 0.0:
+        if not self.damping >= 0.0:
             raise ValueError("damping must be non-negative")
 
 
@@ -159,8 +153,8 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
     """Yield ``(src_gray, k_level, LevelSystem)`` per level, coarsest first.
 
     Checks the grids and builds the pyramids once; each level's Jacobian
-    and damping (``damping=None`` picks the default) are built when the
-    walk reaches it.  Raises SingularSystem when a level's damped normal
+    and normal matrix, damped by the constant ``damping``, are built when
+    the walk reaches it.  Raises SingularSystem when a level's normal
     equations are numerically singular (an untextured reference image).
     """
     check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
@@ -171,9 +165,7 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
         k_level = k.at_level(level)
         X = points(k_level, depth_pyr[level])
         J, A = build_jacobian(ref_pyr[level], X, k_level)
-        H = J.T @ J
-        lam = damping if damping is not None else DAMPING_COEFF * np.trace(H) / 6.0
-        H += lam * np.eye(6)
+        H = J.T @ J + damping * np.eye(6)
         if not _well_conditioned(H):
             raise SingularSystem("reference image lacks texture for a 6-DoF solve")
         yield src_pyr[level], k_level, LevelSystem(X, J, A, H, ref_pyr[level].ravel())
@@ -269,9 +261,8 @@ def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSett
     if reason != "stalled":
         # Residual and validity at the returned pose.
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        if mask.any():
-            n_in = np.count_nonzero(mask)
-            mean_sq = _mean_sq((system.ref_flat - sampled) * mask, n_in)
+        wvec, n_in = in_view_weights(mask)
+        mean_sq = _mean_sq((system.ref_flat - sampled) * wvec, n_in)
     residuals.append(mean_sq)
     return R, t, residuals, reason, float(n_in / mask.size)
 

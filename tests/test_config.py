@@ -8,6 +8,8 @@ from dvokit.config import (
     CameraSettings,
     GradcheckSettings,
     RunConfig,
+    _DEFAULTS,
+    _section_fields,
     load_config,
     parse_config,
 )
@@ -98,11 +100,23 @@ class TestParseConfig:
             cfg = parse_config(f"ddvo.{f.name} = {str(value).lower()}\n")
             assert getattr(cfg.ddvo, f.name) == value, f.name
 
-    def test_optional_damping_none(self):
-        cfg = parse_config("dvo.damping = 0.5\n")
-        assert cfg.dvo.damping == 0.5
-        cfg = parse_config("dvo.damping = none\n")
-        assert cfg.dvo.damping is None
+    def test_damping_is_a_plain_number(self):
+        for section in ("dvo", "ddvo"):
+            assert getattr(parse_config(""), section).damping == 0.0
+            cfg = parse_config(f"{section}.damping = 0.5\n")
+            assert getattr(cfg, section).damping == 0.5
+
+    def test_damping_none_rejected(self):
+        for section in ("dvo", "ddvo"):
+            with pytest.raises(ConfigError, match="expected a number"):
+                parse_config(f"{section}.damping = none\n")
+
+    def test_no_key_defaults_to_none(self):
+        # parse_config converts by the type of each key's default, and no
+        # value converts to None.
+        for section, defaults in _DEFAULTS.items():
+            for name in _section_fields(section):
+                assert getattr(defaults, name) is not None, f"{section}.{name}"
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dvokit import ddvo, training
+from dvokit import bundled, cli, ddvo, training
 from dvokit.bundled import small_motion_pair, training_triplet
+from dvokit.config import GradcheckSettings
 from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
 from dvokit.errors import ShapeMismatch, TapeMismatch
@@ -252,6 +253,32 @@ class TestBackward:
         )
         g = (np.ones(3), np.arange(9.0).reshape(3, 3))
         assert np.max(np.abs(ddvo_backward(full_tape, g) - ddvo_backward(part_tape, g))) > 1e-12
+
+    @pytest.mark.parametrize("full_chain", [True, False], ids=["full", "frozen"])
+    def test_explicit_damping_needs_no_depth_term(self, full_chain):
+        # The gradcheck instances at a constant damping of 1e-2, a few
+        # percent of the coarse level's smallest diagonal entry: lambda
+        # enters the backward only through the tape's normal matrices.
+        rng = np.random.default_rng(0)
+        s = DdvoSettings(unroll_iters=2, levels=2, damping=1e-2,
+                         grad_through_jacobian=full_chain)
+        for _ in range(5):
+            spec = cli._scene(rng, 16, 16)
+            pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
+            ref, depth, src, _, k = bundled.solver_inputs(spec, pose)
+            g = random_seed(rng)
+            _, tape = ddvo_forward(ref, depth, src, k, s)
+
+            def f(values):
+                if full_chain:
+                    out, _ = ddvo_forward(ref, values, src, k, s)
+                else:
+                    out = replay_frozen_jacobian(tape, values)
+                R, t = out.rt()
+                return seed_dot(g, R, t)
+
+            err = cli._directional_error(rng, f, depth, ddvo_backward(tape, g), 1e-6)
+            assert err < GradcheckSettings().solver_tol
 
     def test_replay_reproduces_forward_pose(self):
         ref, depth, src, k, _ = small_instance(7)

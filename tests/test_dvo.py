@@ -78,13 +78,13 @@ class TestPrecomputeReferenceSystem:
             assert np.max(np.abs(fd[interior] - J[interior, j])) < 1e-5
 
 
-def finest_system(ref, depth, src, k, damping=None):
+def finest_system(ref, depth, src, k, damping=DvoSettings().damping):
     """``(src, k, LevelSystem)`` of the finest level alone."""
     return next(dvo.level_systems(ref, depth, src, k, 1, damping))
 
 
 class TestNormalMatrix:
-    @pytest.mark.parametrize("damping", [None, 0.0])
+    @pytest.mark.parametrize("damping", [0.0, 1e-3])
     @pytest.mark.parametrize("fraction", [1.0, 0.97, 0.25])
     def test_downdate_matches_weighted_product(self, fraction, damping):
         ref, depth, src, _, k = small_motion_pair(0)
@@ -94,13 +94,14 @@ class TestNormalMatrix:
         wvec = np.zeros(n)
         wvec[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = 1.0
         _, H = dvo.gauss_newton_step(system, (system.ref_flat - src.ravel()) * wvec, wvec)
-        lam = dvo.DAMPING_COEFF * np.sum(J * J) / 6.0 if damping is None else damping
-        expected = J.T @ (J * wvec[:, None]) + lam * np.eye(6)
+        expected = J.T @ (J * wvec[:, None]) + damping * np.eye(6)
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_every_point_in_view_returns_the_level_matrix(self):
         ref, depth, src, _, k = small_motion_pair(0)
         _, _, system = finest_system(ref, depth, src, k)
+        # The default damping is 0: the level matrix is J^T J as it stands.
+        assert np.array_equal(system.H, system.J.T @ system.J)
         _, H = dvo.gauss_newton_step(system, system.ref_flat - src.ravel(), np.ones(ref.size))
         assert np.array_equal(H, system.H)
 
@@ -291,6 +292,26 @@ class TestStopReasons:
         assert np.array_equal(stalled.pose.as_vector(), one_step.pose.as_vector())
         assert stalled.residual_history == one_step.residual_history
         assert stalled.valid_fraction == one_step.valid_fraction
+
+    def test_returned_pose_out_of_view_raises(self, monkeypatch):
+        # A level capped at one step warps twice: once for its step and
+        # once at the pose it returns.  With no pixel in view there, the
+        # level has no residual to report and must not hand back the one
+        # of the pose before.
+        ref_img, ref_depth, src_img, _, k = small_motion_pair(0)
+        real = dvo.warp_and_sample
+        calls = []
+
+        def out_of_view_at_the_end(*args):
+            sampled, mask = real(*args)
+            calls.append(mask.mean())
+            return sampled, mask if len(calls) == 1 else np.zeros_like(mask)
+
+        monkeypatch.setattr(dvo, "warp_and_sample", out_of_view_at_the_end)
+        with pytest.raises(DegenerateOverlap):
+            solve_level(ref_img, ref_depth, src_img, k, Pose6D.identity(),
+                        DvoSettings(levels=1, max_iters_per_level=1))
+        assert len(calls) == 2 and calls[0] >= MIN_VALID_FRACTION
 
     def test_default_settings_never_hit_the_cap(self):
         for seed in range(20):
