@@ -53,7 +53,7 @@ def cmd_odometry(args) -> int:
     src = fileio.read_image(args.src)
     k = cfg.camera.resolve(ref.width, ref.height)
     result = solve_coarse_to_fine(ref.gray(), depth.values, src.gray(), k,
-                                  Pose6D.identity(), cfg.dvo)
+                                  Pose6D.identity(), cfg.train.dvo)
     print(fileio.format_pose_row(result.pose.matrix()))
     print(
         f"residual {result.final_residual:.17g} "
@@ -140,7 +140,7 @@ def _loss_depth_error(rng, cfg):
 
     def loss(values):
         moved = (depths[0], values, depths[2])
-        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.weights)
+        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.train.weights)
 
     grad = loss(depths[1]).grad_depths[1]
     return _directional_error(rng, lambda v: loss(v).total, depths[1], grad, 1e-6,
@@ -152,7 +152,7 @@ def _loss_pose_error(rng, cfg):
 
     def loss(vec):
         moved = Pose6D.from_vector(vec).rt()
-        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.weights)
+        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.train.weights)
 
     g_t, g_R = loss(p21.as_vector()).grad_p21
     grad = np.concatenate([g_t, so3_exp_vjp(p21.omega, p21.rt()[0], g_R)])
@@ -192,9 +192,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_demo(args) -> int:
     cfg = load_config(args.config)
     data = bundled.training_triplet(cfg.scene if args.scene_from_config else None)
-    train_cfg = replace(
-        cfg.train_config(), mode=args.mode, normalize_depth=(args.normalize == "on")
-    )
+    train_cfg = replace(cfg.train, mode=args.mode, normalize_depth=(args.normalize == "on"))
     exit_code = EXIT_OK
     try:
         trace = train_triplet(
@@ -211,9 +209,7 @@ def cmd_train_demo(args) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         exit_code = EXIT_DEGENERATE
-    tmp = str(args.out) + ".tmp"
-    trace.to_csv(tmp)
-    os.replace(tmp, args.out)
+    trace.to_csv(args.out)
     depth_out = args.depth_out
     if depth_out is None:
         root, _ = os.path.splitext(str(args.out))
@@ -280,6 +276,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dvokit",
@@ -298,7 +302,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("train-demo", help="run a triplet training demo")
@@ -327,7 +331,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic scene fixture")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override scene.texture_seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override scene.texture_seed")
     p.add_argument("--translation-frac", type=float, default=0.01)
     p.add_argument("--rotation-deg", type=float, default=0.5)
     p.set_defaults(handler=cmd_synth)

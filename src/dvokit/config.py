@@ -2,12 +2,13 @@
 
 Numeric and structural settings live in config files; command-line flags
 are reserved for mode switches and paths.  Every key maps onto a field of
-one of the library's settings types.  The defaults are those types'
-defaults, except that the ``dvo``, ``ddvo`` and ``weights`` sections
-default to ``TrainConfig()``'s settings, so a training run without a
-config file trains as the library's default does.  Unknown keys are
-rejected, and values are validated by the settings types themselves
-(their ``__post_init__`` checks run at load time).
+one of the library's settings types, and the defaults are those types'
+defaults.  The ``dvo``, ``ddvo`` and ``weights`` sections fill
+``RunConfig.train``, the whole ``TrainConfig``, so each setting has one
+home.  Depth normalization is ``dvokit train-demo --normalize``, not a
+key.  Unknown keys are rejected, and values are validated by the
+settings types themselves (their ``__post_init__`` checks run at load
+time).
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .ddvo import DdvoSettings
-from .dvo import DvoSettings
 from .errors import ConfigError
-from .losses import LossWeights
 from .synth import SceneSpec, grid_intrinsics
 from .training import TrainConfig
 
-# TrainConfig fields that are themselves settings objects or are supplied
-# elsewhere (mode comes from the command line).
-_TRAIN_SKIP = ("mode", "weights", "ddvo", "dvo")
+# TrainConfig's settings objects; each is a section of its own.
+_NESTED = ("dvo", "ddvo", "weights")
+# mode and normalize_depth come from the command line.
+_TRAIN_SKIP = ("mode", "normalize_depth") + _NESTED
 _SCENE_SKIP = ("intrinsics",)
 
 
@@ -79,21 +78,13 @@ class GradcheckSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All file-configurable settings, one attribute per section."""
+    """All file-configurable settings; the ``dvo``, ``ddvo`` and ``weights``
+    sections are ``train.dvo``, ``train.ddvo`` and ``train.weights``."""
 
-    dvo: DvoSettings = field(default_factory=lambda: TrainConfig().dvo)
-    ddvo: DdvoSettings = field(default_factory=lambda: TrainConfig().ddvo)
-    weights: LossWeights = field(default_factory=lambda: TrainConfig().weights)
     train: TrainConfig = field(default_factory=TrainConfig)
     scene: SceneSpec = field(default_factory=SceneSpec)
     camera: CameraSettings = field(default_factory=CameraSettings)
     gradcheck: GradcheckSettings = field(default_factory=GradcheckSettings)
-
-    def train_config(self):
-        """The TrainConfig with the nested settings sections wired in."""
-        return replace(
-            self.train, weights=self.weights, ddvo=self.ddvo, dvo=self.dvo
-        )
 
 
 def _section_fields(section):
@@ -105,7 +96,10 @@ def _section_fields(section):
     return {f.name: f for f in fields(type(_DEFAULTS[section])) if f.name not in skip}
 
 
-_DEFAULTS = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+_DEFAULTS = {
+    **{name: getattr(RunConfig().train, name) for name in _NESTED},
+    **{f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)},
+}
 
 _TRUE = ("true", "on", "yes", "1")
 _FALSE = ("false", "off", "no", "0")
@@ -147,6 +141,8 @@ def _finite_float(where, raw):
 def parse_config(text) -> RunConfig:
     """Parse ``section.key = value`` lines; '#' starts a comment."""
     overrides = {name: {} for name in _DEFAULTS}
+    # The scene's camera is derived from its configured size.
+    overrides["scene"]["intrinsics"] = None
     for lineno, line in enumerate(str(text).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -168,21 +164,11 @@ def parse_config(text) -> RunConfig:
     built = {}
     for section, defaults in _DEFAULTS.items():
         try:
-            if section == "scene":
-                # Rebuild from scratch so the derived intrinsics follow the
-                # configured size instead of the default scene's.
-                kwargs = {
-                    f.name: getattr(defaults, f.name)
-                    for f in fields(SceneSpec)
-                    if f.name not in _SCENE_SKIP
-                }
-                kwargs.update(overrides[section])
-                built[section] = SceneSpec(**kwargs)
-            else:
-                built[section] = replace(defaults, **overrides[section])
+            built[section] = replace(defaults, **overrides[section])
         except ValueError as exc:
             raise ConfigError(f"section {section!r}: {exc}")
-    return RunConfig(**built)
+    nested = {name: built.pop(name) for name in _NESTED}
+    return RunConfig(train=replace(built.pop("train"), **nested), **built)
 
 
 def load_config(path) -> RunConfig:

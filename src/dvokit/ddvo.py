@@ -52,13 +52,12 @@ from .errors import TapeMismatch
 from .dvo import (
     LevelSystem,
     gauss_newton_step,
-    in_view_weights,
     level_systems,
     update_pose,
 )
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp, so3_log, so3_tangent
 from .imaging import check_grids, pyramid_arr, pyramid_grad_arr
-from .warp import warp_and_sample, warp_vjp
+from .warp import in_view, warp_and_sample, warp_vjp
 
 # perfbench traces these under this module's name; the solver reaches them
 # through the dvo and warp modules and Pose6D.rt.
@@ -143,8 +142,8 @@ def _unroll(levels, R, t, iters):
         trail = []
         for _ in range(iters):
             sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-            wvec, _ = in_view_weights(mask)
-            delta, H = gauss_newton_step(system, (system.ref_flat - sampled) * wvec, wvec)
+            in_view(mask)
+            delta, H = gauss_newton_step(system, (system.ref_flat - sampled) * mask, mask)
             R_next, t_next, Rd = update_pose(delta, R, t)
             trail.append(_IterRecord(R, t, H, delta, Rd))
             R, t = R_next, t_next

@@ -15,14 +15,16 @@ its frozen-Jacobian replay share:
   the reference image; the damping ``lambda`` is a constant, 0 (plain
   Gauss-Newton) by default;
 * ``gauss_newton_step`` subtracts the rows of the pixels out of view
-  from ``H`` each iteration (an exact downdate: the weights are 0 or 1)
-  and solves the 6x6 system, so masked-out pixels leave it entirely;
+  from ``H`` each iteration (an exact downdate: the weights ``W =
+  diag(mask)`` are 0 or 1) and solves the 6x6 system, so masked-out
+  pixels leave it entirely;
 * ``update_pose`` applies the step to the pose, kept as a matrix pair
   ``(R, t)`` within a level.
 
-Each caller warps the source itself, forms the weighted residual
-``wvec * (ref - sampled)`` once and hands it to the step; DVO also takes
-its mean square from it.
+Each caller warps the source itself, checks the in-view share of its
+mask (``warp.in_view``), forms the weighted residual ``(ref - sampled) *
+mask`` once and hands it to the step; DVO also takes its mean square
+from it.
 
 ``solve_coarse_to_fine`` is the one DVO entry point.  It runs
 ``solve_level_arrays`` on each level of the walk, hands each level's
@@ -52,13 +54,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateOverlap, SingularSystem
+from .errors import SingularSystem
 from .geometry import CameraIntrinsics, Pose6D, so3_exp, so3_log
 from .imaging import check_grids, gradient_arr, pyramid_arr
 # perfbench traces the sampler under this module's name; the solver
 # reaches it through the warp module.
 from .imaging import bilinear_many  # noqa: F401
-from .warp import MIN_VALID_FRACTION, points, warp_and_sample
+from .warp import in_view, points, warp_and_sample
 
 # Condition-number ceiling for the damped normal equations.
 MAX_CONDITION = 1e12
@@ -171,24 +173,14 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
         yield src_pyr[level], k_level, LevelSystem(X, J, A, H, ref_pyr[level].ravel())
 
 
-def in_view_weights(mask):
-    """The in-view mask as 0/1 weights, and the number of points in view;
-    DegenerateOverlap when that is below ``MIN_VALID_FRACTION`` of them."""
-    n_in = np.count_nonzero(mask)
-    if n_in / mask.size < MIN_VALID_FRACTION:
-        raise DegenerateOverlap(f"only {n_in / mask.size:.1%} of pixels remained in view")
-    return mask.astype(float), n_in
-
-
-def gauss_newton_step(system: LevelSystem, residual, wvec):
+def gauss_newton_step(system: LevelSystem, residual, mask):
     """One damped Gauss-Newton step from the weighted residual.
 
-    ``residual`` is ``W r = wvec * (ref - sampled)``, where ``sampled`` is
-    what ``warp.warp_and_sample`` returns at the current pose and ``wvec``
-    the ``in_view_weights`` of its mask.  Returns
-    ``(delta, H)``: the step ``delta = (J^T W J + lambda I)^-1 J^T W r``
-    on ``(t, omega)``, with ``W = diag(wvec)``, and the damped normal
-    matrix ``H``.
+    ``residual`` is ``W r = (ref - sampled) * mask``, where ``sampled``
+    and the boolean ``mask`` are what ``warp.warp_and_sample`` returns at
+    the current pose.  Returns ``(delta, H)``: the step ``delta = (J^T W J
+    + lambda I)^-1 J^T W r`` on ``(t, omega)``, with ``W = diag(mask)``,
+    and the damped normal matrix ``H``.
 
     The weights are 0 or 1, so ``H`` is the level's ``system.H`` less
     ``J_out^T J_out`` over the rows ``J_out`` of the points out of view,
@@ -197,7 +189,7 @@ def gauss_newton_step(system: LevelSystem, residual, wvec):
     ``ref - sampled`` alone.
     """
     J = system.J
-    J_out = J[wvec == 0.0]
+    J_out = J[~mask]
     H = system.H - J_out.T @ J_out
     if not _well_conditioned(H):
         raise SingularSystem("weighted normal equations became singular")
@@ -243,14 +235,14 @@ def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSett
     residuals = []
     for _ in range(settings.max_iters_per_level):
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        wvec, n_in = in_view_weights(mask)
-        residual = (system.ref_flat - sampled) * wvec
+        n_in = in_view(mask)
+        residual = (system.ref_flat - sampled) * mask
         mean_sq = _mean_sq(residual, n_in)
         if tol > 0.0 and residuals and residuals[-1] - mean_sq < tol * residuals[-1]:
             reason = "stalled"
             break
         residuals.append(mean_sq)
-        delta, _ = gauss_newton_step(system, residual, wvec)
+        delta, _ = gauss_newton_step(system, residual, mask)
         R, t, _ = update_pose(delta, R, t)
         if np.linalg.norm(delta) < settings.step_norm_tol:
             reason = "converged"
@@ -261,8 +253,8 @@ def solve_level_arrays(system: LevelSystem, src_gray, k, R, t, settings: DvoSett
     if reason != "stalled":
         # Residual and validity at the returned pose.
         sampled, mask = warp_and_sample(src_gray, system.X, R, t, k)
-        wvec, n_in = in_view_weights(mask)
-        mean_sq = _mean_sq((system.ref_flat - sampled) * wvec, n_in)
+        n_in = in_view(mask)
+        mean_sq = _mean_sq((system.ref_flat - sampled) * mask, n_in)
     residuals.append(mean_sq)
     return R, t, residuals, reason, float(n_in / mask.size)
 

@@ -34,7 +34,9 @@ class ImageBuffer:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        # A copy, so the caller's array can neither change the checked
+        # values nor be made read-only.
+        data = np.array(self.data, dtype=float)
         if data.ndim == 2:
             data = data[:, :, None]
         if data.ndim != 3:

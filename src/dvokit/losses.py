@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DegenerateDepth, DegenerateOverlap, GridTooSmall, ShapeMismatch
 from .geometry import CameraIntrinsics
 from .imaging import check_grids, laplacian_arr, pyramid_arr, pyramid_grad_arr
-from .warp import MIN_VALID_FRACTION, points, warp_and_sample, warp_vjp
+from .warp import in_view, points, warp_and_sample, warp_vjp
 
 # perfbench traces these under this module's name; the loss reaches the
 # samplers through the warp module and calls so3_exp nowhere.
@@ -265,13 +265,9 @@ def appearance_loss(ref_gray, src_gray, depth, R, t, k: CameraIntrinsics,
     h, w = depth.shape
     X = points(k, depth)
     warped, mask, lin = warp_and_sample(src_gray, X, R, t, k, grad=True)
+    n_in = in_view(mask)
     warped = warped.reshape(h, w)
     mask = mask.reshape(h, w)
-    # The in-view fraction and counts are taken by counting, which is
-    # exact for a mask and cheaper than its mean or sum.
-    n_in = np.count_nonzero(mask)
-    if n_in / mask.size < MIN_VALID_FRACTION:
-        raise DegenerateOverlap(f"only {n_in / mask.size:.1%} of pixels warp in view")
 
     if scale_index != 0:
         count = float(n_in)

@@ -55,6 +55,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
+        if self.texture_seed < 0:
+            raise ValueError("texture_seed must be non-negative")
         if self.width < 16 or self.height < 16:
             raise ValueError("scene grid must be at least 16x16")
         near, far = self.depth_range

@@ -25,6 +25,7 @@ curve), and the ground-truth depth error when ground truth is given.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .ddvo import DdvoSettings, ddvo_backward, ddvo_forward
 from .dvo import DvoSettings, solve_coarse_to_fine
 from .errors import DivergenceDetected, DvokitError, InvalidRaster, ShapeMismatch
+from .fileio import _atomic_write
 from .geometry import CameraIntrinsics, Pose6D, so3_exp_vjp
 from .losses import (
     LossWeights,
@@ -141,6 +143,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.pose_warmup_steps < 0:
             raise ValueError("pose_warmup_steps must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -163,14 +167,14 @@ class TrainTrace:
     diverged: bool = False
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "total", "appearance", "prior", "mean_inv_depth", "gt_error"]
-            )
-            for r in self.records:
-                values = (r.total, r.appearance, r.prior, r.mean_inv_depth, r.gt_error)
-                writer.writerow([r.step] + [f"{v:.17g}" for v in values])
+        """Write the records as CSV; a failed write leaves no file behind."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step", "total", "appearance", "prior", "mean_inv_depth", "gt_error"])
+        for r in self.records:
+            values = (r.total, r.appearance, r.prior, r.mean_inv_depth, r.gt_error)
+            writer.writerow([r.step] + [f"{v:.17g}" for v in values])
+        _atomic_write(path, buf.getvalue().encode())
 
 
 def _gt_abs_rel(pred_inv_depth, gt_inv_depth):

@@ -8,6 +8,8 @@ and the source image is sampled bilinearly where ``P`` projects.  The
 points of a pyramid level are built once (``points``), so one warp is
 one ``(3, 4) x (4, N)`` product, a division and one fused bilinear
 lookup that also yields the image gradient when the VJP needs it.
+``in_view`` is the one rule for a warp that leaves too few points in
+view, shared by the solvers and the loss.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DegenerateOverlap
 from .geometry import EPSILON_Z, CameraIntrinsics
 from .imaging import bilinear_many
 
@@ -49,6 +52,16 @@ def points(k: CameraIntrinsics, depth):
     X[2] = 1.0
     X[3] = depth
     return X.reshape(4, h * w)
+
+
+def in_view(mask):
+    """The number of points ``mask`` marks in view; DegenerateOverlap when
+    that is below ``MIN_VALID_FRACTION`` of them."""
+    # Counting is exact for a mask and cheaper than its mean or sum.
+    n_in = np.count_nonzero(mask)
+    if n_in / mask.size < MIN_VALID_FRACTION:
+        raise DegenerateOverlap(f"only {n_in / mask.size:.1%} of pixels warp in view")
+    return n_in
 
 
 def warp_and_sample(plane, X, R, t, k: CameraIntrinsics, grad=False):

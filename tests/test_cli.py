@@ -157,6 +157,12 @@ class TestGradcheck:
             "loss depth gradient", "loss pose gradient", "depth normalization chain",
         ]
 
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_seeded_report_identical(self, tmp_path, capsys):
         cfg = tmp_path / "g.cfg"
         cfg.write_text(GRADCHECK_CFG)
@@ -411,6 +417,14 @@ class TestSynth:
         out = tmp_path / "scene"
         assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 1
         assert line.split(" =")[0].split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(out), "--seed", "-4"])
+        assert exc.value.code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_generated_pair_passes_odometry(self, tmp_path, capsys):

@@ -21,15 +21,14 @@ from dvokit.training import TrainConfig
 
 
 def float_keys():
-    """Every ``section.key`` whose default is a float or an optional float."""
-    defaults = RunConfig()
+    """Every ``section.key`` whose default is a float or an optional float,
+    read from the parser's own table of sections and keys."""
     keys = []
-    for section in fields(RunConfig):
-        settings = getattr(defaults, section.name)
-        for f in fields(settings):
-            value = getattr(settings, f.name)
+    for section, defaults in _DEFAULTS.items():
+        for name in _section_fields(section):
+            value = getattr(defaults, name)
             if value is None or isinstance(value, float):
-                keys.append(f"{section.name}.{f.name}")
+                keys.append(f"{section}.{name}")
     return keys
 
 
@@ -40,16 +39,16 @@ class TestParseConfig:
     def test_empty_gives_defaults(self):
         cfg = parse_config("")
         defaults = RunConfig()
-        assert cfg.dvo == defaults.dvo
-        assert cfg.weights == defaults.weights
+        assert cfg.train.dvo == defaults.train.dvo
+        assert cfg.train.weights == defaults.train.weights
         assert cfg.gradcheck == defaults.gradcheck
-        assert cfg.ddvo.unroll_iters == defaults.ddvo.unroll_iters
+        assert cfg.train.ddvo.unroll_iters == defaults.train.ddvo.unroll_iters
         assert cfg.train.steps == defaults.train.steps
         assert cfg.train.lr == defaults.train.lr
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("\n# a comment\n  \ndvo.levels = 2  # trailing\n")
-        assert cfg.dvo.levels == 2
+        assert cfg.train.dvo.levels == 2
 
     def test_sections_route_to_settings(self):
         cfg = parse_config(
@@ -57,38 +56,34 @@ class TestParseConfig:
             "ddvo.unroll_iters = 5\n"
             "weights.lambda_prior = 0.5\n"
             "train.steps = 42\n"
-            "train.normalize_depth = off\n"
             "scene.kind = two-plane\n"
             "scene.depth_range = 1.0, 3.0\n"
             "camera.fx = 120\ncamera.fy = 120\ncamera.cx = 40\ncamera.cy = 30\n"
             "gradcheck.instances = 3\n"
         )
-        assert cfg.dvo.max_iters_per_level == 7
-        assert cfg.ddvo.unroll_iters == 5
-        assert cfg.weights.lambda_prior == 0.5
+        assert cfg.train.dvo.max_iters_per_level == 7
+        assert cfg.train.ddvo.unroll_iters == 5
+        assert cfg.train.weights.lambda_prior == 0.5
         assert cfg.train.steps == 42
-        assert cfg.train.normalize_depth is False
         assert cfg.scene.kind == "two-plane"
         assert cfg.scene.depth_range == (1.0, 3.0)
         assert cfg.camera.fx == 120.0
         assert cfg.gradcheck.instances == 3
 
-    def test_train_config_wires_nested_sections(self):
+    def test_train_holds_nested_sections(self):
         cfg = parse_config("weights.lambda_prior = 0.25\nddvo.levels = 2\ntrain.lr = 0.5\n")
-        tc = cfg.train_config()
+        tc = cfg.train
         assert tc.weights.lambda_prior == 0.25
         assert tc.ddvo.levels == 2
         assert tc.lr == 0.5
 
     def test_defaults_train_as_the_library(self):
-        got, want = parse_config("").train_config(), TrainConfig()
+        got, want = parse_config("").train, TrainConfig()
         for f in fields(TrainConfig):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if f.name in ("dvo", "ddvo", "weights"):
                 for g in fields(a):
                     x, y = getattr(a, g.name), getattr(b, g.name)
-                    if g.name == "init_pose":
-                        x, y = x.as_vector().tolist(), y.as_vector().tolist()
                     assert x == y, f"{f.name}.{g.name}"
             else:
                 assert a == b, f.name
@@ -98,13 +93,13 @@ class TestParseConfig:
         for f in fields(DdvoSettings):
             value = getattr(DdvoSettings(), f.name)
             cfg = parse_config(f"ddvo.{f.name} = {str(value).lower()}\n")
-            assert getattr(cfg.ddvo, f.name) == value, f.name
+            assert getattr(cfg.train.ddvo, f.name) == value, f.name
 
     def test_damping_is_a_plain_number(self):
         for section in ("dvo", "ddvo"):
-            assert getattr(parse_config(""), section).damping == 0.0
+            assert getattr(parse_config("").train, section).damping == 0.0
             cfg = parse_config(f"{section}.damping = 0.5\n")
-            assert getattr(cfg, section).damping == 0.5
+            assert getattr(cfg.train, section).damping == 0.5
 
     def test_damping_none_rejected(self):
         for section in ("dvo", "ddvo"):
@@ -133,10 +128,24 @@ class TestParseConfig:
     def test_bad_value_types_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("dvo.levels = soon\n")
-        with pytest.raises(ConfigError):
-            parse_config("train.normalize_depth = maybe\n")
+        with pytest.raises(ConfigError, match="expected a boolean"):
+            parse_config("ddvo.grad_through_jacobian = maybe\n")
         with pytest.raises(ConfigError):
             parse_config("weights.lambda_prior = many\n")
+
+    def test_normalize_depth_is_not_a_key(self):
+        # --normalize is the one switch; a key the run ignored is rejected.
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("train.normalize_depth = off\n")
+
+    def test_each_setting_has_one_home(self):
+        assert [f.name for f in fields(RunConfig)] == ["train", "scene", "camera", "gradcheck"]
+        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 33
+
+    @pytest.mark.parametrize("key", ["train.seed", "scene.texture_seed"])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            parse_config(f"{key} = -1\n")
 
     def test_invariants_checked_at_load(self):
         with pytest.raises(ConfigError):

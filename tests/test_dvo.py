@@ -91,10 +91,10 @@ class TestNormalMatrix:
         _, _, system = finest_system(ref, depth, src, k, damping)
         J = system.J
         n = J.shape[0]
-        wvec = np.zeros(n)
-        wvec[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = 1.0
-        _, H = dvo.gauss_newton_step(system, (system.ref_flat - src.ravel()) * wvec, wvec)
-        expected = J.T @ (J * wvec[:, None]) + damping * np.eye(6)
+        mask = np.zeros(n, dtype=bool)
+        mask[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = True
+        _, H = dvo.gauss_newton_step(system, (system.ref_flat - src.ravel()) * mask, mask)
+        expected = J.T @ (J * mask[:, None]) + damping * np.eye(6)
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_every_point_in_view_returns_the_level_matrix(self):
@@ -102,7 +102,8 @@ class TestNormalMatrix:
         _, _, system = finest_system(ref, depth, src, k)
         # The default damping is 0: the level matrix is J^T J as it stands.
         assert np.array_equal(system.H, system.J.T @ system.J)
-        _, H = dvo.gauss_newton_step(system, system.ref_flat - src.ravel(), np.ones(ref.size))
+        _, H = dvo.gauss_newton_step(system, system.ref_flat - src.ravel(),
+                                     np.ones(ref.size, dtype=bool))
         assert np.array_equal(H, system.H)
 
     def test_singular_when_only_untextured_points_stay_in_view(self):
@@ -117,14 +118,7 @@ class TestNormalMatrix:
         untextured = ~system.J.any(axis=1)
         assert untextured.mean() >= MIN_VALID_FRACTION
         with pytest.raises(SingularSystem):
-            dvo.gauss_newton_step(system, np.zeros(ref.size), untextured.astype(float))
-
-    def test_in_view_weights_count_the_points_in_view(self):
-        wvec, n_in = dvo.in_view_weights(np.array([True, False, True, True]))
-        assert wvec.dtype == float and wvec.tolist() == [1.0, 0.0, 1.0, 1.0]
-        assert n_in == 3
-        with pytest.raises(DegenerateOverlap):
-            dvo.in_view_weights(np.array([True, False, False, False, False]))
+            dvo.gauss_newton_step(system, np.zeros(ref.size), untextured)
 
     def test_step_ignores_a_common_intensity_offset(self):
         # At the true pose the residual is small against the intensities.
@@ -134,10 +128,9 @@ class TestNormalMatrix:
         src_level, k_level, system = finest_system(ref, depth, src, k)
         sampled, mask = warp_and_sample(src_level, system.X, so3_exp(pose.omega), pose.t,
                                         k_level)
-        wvec, _ = dvo.in_view_weights(mask)
-        delta, _ = dvo.gauss_newton_step(system, (system.ref_flat - sampled) * wvec, wvec)
-        shifted = (system.ref_flat + 1e3 - (sampled + 1e3)) * wvec
-        delta_shifted, _ = dvo.gauss_newton_step(system, shifted, wvec)
+        delta, _ = dvo.gauss_newton_step(system, (system.ref_flat - sampled) * mask, mask)
+        shifted = (system.ref_flat + 1e3 - (sampled + 1e3)) * mask
+        delta_shifted, _ = dvo.gauss_newton_step(system, shifted, mask)
         assert np.linalg.norm(delta_shifted - delta) <= 1e-9 * np.linalg.norm(delta)
 
     def test_too_small_level_raises_grid_too_small(self):

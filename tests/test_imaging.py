@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from dvokit.errors import GridTooSmall
 from dvokit.imaging import (
+    ImageBuffer,
     InverseDepthMap,
     bilinear_many,
     downsample2_arr,
@@ -238,3 +239,15 @@ class TestInverseDepthMap:
     def test_values_roundtrip(self):
         d = InverseDepthMap.from_array(np.full((3, 3), 0.5))
         assert np.array_equal(d.values, np.full((3, 3), 0.5))
+
+    def test_holds_a_copy_of_the_callers_array(self):
+        # A later write to the caller's array cannot bring back a negative
+        # value the check rejected, and the caller's array stays writable.
+        d = np.full((3, 3), 0.5)
+        m = InverseDepthMap.from_array(d)
+        d[0, 0] = -1.0
+        assert m.values.min() == 0.5
+        a = np.full((3, 3, 1), 0.5)
+        ImageBuffer(a)
+        assert a.flags.writeable
+        a[0, 0, 0] = 1.0

@@ -208,6 +208,14 @@ class TestTrainTriplet:
         assert int(fields[0]) == 0
         assert abs(float(fields[1]) - trace.records[0].total) < 1e-15
 
+    def test_failed_csv_export_leaves_no_file(self, tmp_path):
+        # A total that cannot be formatted fails the export after the header.
+        bad = training.TrainStepRecord(0, "total", 0.0, 0.0, 1.0, float("nan"))
+        trace = training.TrainTrace((bad,), (), ())
+        with pytest.raises(ValueError):
+            trace.to_csv(tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
 
 def assert_same_run(a, b):
     """Bit-identical records, final depths and final poses."""

@@ -1,13 +1,15 @@
 """Property tests for the fused bilinear sampler and the shared warp VJP."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dvokit.errors import DegenerateOverlap
 from dvokit.geometry import CameraIntrinsics, so3_exp, so3_exp_vjp
 from dvokit.imaging import bilinear_many
-from dvokit.warp import points, warp_and_sample, warp_vjp
+from dvokit.warp import in_view, points, warp_and_sample, warp_vjp
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -212,3 +214,9 @@ class TestWarpVjp:
         direction = rng.normal(size=3)
         _check_direction(f, omega, direction, analytic,
                          lambda w: _cells(X, so3_exp(w), t, k, plane.shape))
+
+
+def test_in_view_counts_the_points_in_view():
+    assert in_view(np.array([True, False, True, True])) == 3
+    with pytest.raises(DegenerateOverlap, match="only 20.0% of pixels warp in view"):
+        in_view(np.array([True, False, False, False, False]))
