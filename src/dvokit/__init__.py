@@ -5,7 +5,6 @@ scenes with exact ground truth.
 
 from .config import (
     CameraSettings,
-    GradcheckSettings,
     RunConfig,
     load_config,
     parse_config,
@@ -81,7 +80,6 @@ __all__ = [
     "DvoSettings",
     "DvokitError",
     "FileFormatError",
-    "GradcheckSettings",
     "GridTooSmall",
     "InvalidRaster",
     "ImageBuffer",

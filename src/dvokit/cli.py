@@ -5,19 +5,22 @@ pair, ``gradcheck`` runs the finite-difference report, ``train-demo``
 runs the triplet trainers and emits a CSV trace, ``eval`` / ``eval-ate``
 score depth maps and trajectories, and ``synth`` generates fixture
 scenes.  Numeric settings come from a ``section.key = value`` config
-file; flags carry only modes and paths.  ``gradcheck`` reads only the
-``gradcheck`` and ``weights`` sections and prints five fixed rows (full
-chain, frozen Jacobian, loss depth, loss pose, normalization), each from
-one central-difference probe, ``_directional_error``.
+file; flags carry only modes and paths.  ``gradcheck`` reads no config:
+it prints five fixed rows (full chain, frozen Jacobian, loss depth, loss
+pose, normalization), each the worst of ``GRADCHECK_INSTANCES``
+central-difference probes, ``_directional_error``, under ``SOLVER_TOL``
+or ``LOSS_TOL``.
 
 Exit codes: 0 success, 1 I/O, configuration, grid-mismatch or
-invalid-raster errors, 2 degenerate or diverged numeric runs and unusable
-trajectory lengths, 3 failed gradient checks.
+invalid-raster errors, 2 usage errors (from argparse), 3 failed gradient
+checks, 4 degenerate or diverged numeric runs and unusable trajectory
+lengths.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -32,6 +35,7 @@ from .dvo import solve_coarse_to_fine
 from .errors import ConfigError, DvokitError, FileFormatError, InvalidRaster, ShapeMismatch
 from .geometry import Pose6D, so3_exp_vjp
 from .losses import (
+    LossWeights,
     Triplet,
     normalize_inverse_depth,
     normalize_inverse_depth_vjp,
@@ -42,8 +46,15 @@ from .training import TRAIN_MODES, train_triplet
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_DEGENERATE = 2
 EXIT_GRADCHECK = 3
+EXIT_DEGENERATE = 4
+
+# The gradient check's fixed probes and gates; --seed is its one input.
+GRADCHECK_INSTANCES = 10
+GRADCHECK_SIZE = 16
+GRADCHECK_UNROLL = 2
+SOLVER_TOL = 1e-3
+LOSS_TOL = 1e-4
 
 
 def cmd_odometry(args) -> int:
@@ -97,15 +108,14 @@ def _directional_error(rng, f, x, grad, h, toward_grad=False):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
 
 
-def _solver_error(rng, cfg, full_chain):
+def _solver_error(rng, full_chain):
     """``g_t . t + <g_R, R>`` of the unrolled solver's pose ``(R, t)`` as a
     function of depth: the full chain re-solves, the frozen-Jacobian row
     replays the tape (the map ``grad_through_jacobian=False`` differentiates)."""
-    gc = cfg.gradcheck
-    spec = _scene(rng, gc.width, gc.height)
+    spec = _scene(rng, GRADCHECK_SIZE, GRADCHECK_SIZE)
     pose = bundled.random_small_motion(rng, translation_frac=0.01, rotation_deg=0.5)
     ref, depth, src, _, k = bundled.solver_inputs(spec, pose)
-    settings = DdvoSettings(unroll_iters=gc.unroll_iters, levels=2,
+    settings = DdvoSettings(unroll_iters=GRADCHECK_UNROLL, levels=2,
                             grad_through_jacobian=full_chain)
     g_t, g_R = rng.normal(size=3), rng.normal(size=(3, 3))
     _, tape = ddvo_forward(ref, depth, src, k, settings)
@@ -135,47 +145,45 @@ def _loss_triplet(rng):
     return images, depths, p21, p23, data["intrinsics"]
 
 
-def _loss_depth_error(rng, cfg):
+def _loss_depth_error(rng):
     images, depths, p21, p23, k = _loss_triplet(rng)
 
     def loss(values):
         moved = (depths[0], values, depths[2])
-        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, cfg.train.weights)
+        return triplet_loss(Triplet(images, moved, p21.rt(), p23.rt()), k, LossWeights())
 
     grad = loss(depths[1]).grad_depths[1]
     return _directional_error(rng, lambda v: loss(v).total, depths[1], grad, 1e-6,
                               toward_grad=True)
 
 
-def _loss_pose_error(rng, cfg):
+def _loss_pose_error(rng):
     images, depths, p21, p23, k = _loss_triplet(rng)
 
     def loss(vec):
         moved = Pose6D.from_vector(vec).rt()
-        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, cfg.train.weights)
+        return triplet_loss(Triplet(images, depths, moved, p23.rt()), k, LossWeights())
 
     g_t, g_R = loss(p21.as_vector()).grad_p21
     grad = np.concatenate([g_t, so3_exp_vjp(p21.omega, p21.rt()[0], g_R)])
     return _directional_error(rng, lambda v: loss(v).total, p21.as_vector(), grad, 1e-7)
 
 
-def _normalization_error(rng, cfg):
-    d = rng.uniform(0.5, 2.0, size=(cfg.gradcheck.height, cfg.gradcheck.width))
+def _normalization_error(rng):
+    d = rng.uniform(0.5, 2.0, size=(GRADCHECK_SIZE, GRADCHECK_SIZE))
     w = rng.normal(size=d.shape)
     return _directional_error(rng, lambda v: float(np.sum(w * normalize_inverse_depth(v))),
                               d, normalize_inverse_depth_vjp(d, w), 1e-7)
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config)
-    gc = cfg.gradcheck
     rows = (
-        ("solver depth (full chain)", partial(_solver_error, full_chain=True), gc.solver_tol),
+        ("solver depth (full chain)", partial(_solver_error, full_chain=True), SOLVER_TOL),
         ("solver depth (frozen Jacobian)", partial(_solver_error, full_chain=False),
-         gc.solver_tol),
-        ("loss depth gradient", _loss_depth_error, gc.loss_tol),
-        ("loss pose gradient", _loss_pose_error, gc.loss_tol),
-        ("depth normalization chain", _normalization_error, gc.loss_tol),
+         SOLVER_TOL),
+        ("loss depth gradient", _loss_depth_error, LOSS_TOL),
+        ("loss pose gradient", _loss_pose_error, LOSS_TOL),
+        ("depth normalization chain", _normalization_error, LOSS_TOL),
     )
     width = max(len(name) for name, _, _ in rows)
     print(f"{'component'.ljust(width)}  max_rel_error  status")
@@ -183,7 +191,7 @@ def cmd_gradcheck(args) -> int:
     for name, check, tol in rows:
         # Each row draws its instances from a fresh generator on the seed.
         rng = np.random.default_rng(args.seed)
-        worst = max(check(rng, cfg) for _ in range(gc.instances))
+        worst = max(check(rng) for _ in range(GRADCHECK_INSTANCES))
         ok &= worst < tol
         print(f"{name.ljust(width)}  {worst:>13.3e}  {'pass' if worst < tol else 'FAIL'}")
     return EXIT_OK if ok else EXIT_GRADCHECK
@@ -284,6 +292,18 @@ def _seed(text):
     return value
 
 
+def _motion(limit, text):
+    """A ``synth`` motion flag: a number in ``[0, limit]``, so nan and inf
+    are usage errors rather than a non-finite pose."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= limit:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, {limit:g}], got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dvokit",
@@ -301,7 +321,6 @@ def build_parser():
     p.set_defaults(handler=cmd_odometry)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(handler=cmd_gradcheck)
 
@@ -332,8 +351,10 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_seed, default=None, help="override scene.texture_seed")
-    p.add_argument("--translation-frac", type=float, default=0.01)
-    p.add_argument("--rotation-deg", type=float, default=0.5)
+    p.add_argument("--translation-frac", type=partial(_motion, 1.0), default=0.01,
+                   help="motion as a fraction of the scene depth, in [0, 1]")
+    p.add_argument("--rotation-deg", type=partial(_motion, 180.0), default=0.5,
+                   help="rotation angle in degrees, in [0, 180]")
     p.set_defaults(handler=cmd_synth)
 
     return parser

@@ -6,9 +6,10 @@ one of the library's settings types, and the defaults are those types'
 defaults.  The ``dvo``, ``ddvo`` and ``weights`` sections fill
 ``RunConfig.train``, the whole ``TrainConfig``, so each setting has one
 home.  Depth normalization is ``dvokit train-demo --normalize``, not a
-key.  Unknown keys are rejected, and values are validated by the
-settings types themselves (their ``__post_init__`` checks run at load
-time).
+key, and ``dvokit gradcheck`` reads no config: its sizes and tolerances
+are constants of ``cli``.  Unknown sections and keys are rejected, and
+values are validated by the settings types themselves (their
+``__post_init__`` checks run at load time).
 """
 
 from __future__ import annotations
@@ -55,28 +56,6 @@ class CameraSettings:
 
 
 @dataclass(frozen=True)
-class GradcheckSettings:
-    """Sizes and tolerances of the finite-difference report."""
-
-    instances: int = 10
-    width: int = 16
-    height: int = 16
-    unroll_iters: int = 2
-    solver_tol: float = 1e-3
-    loss_tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
-        if self.width < 16 or self.height < 16:
-            raise ValueError("gradcheck rasters must be at least 16x16")
-        if self.unroll_iters < 1:
-            raise ValueError("unroll_iters must be >= 1")
-        if not (self.solver_tol > 0.0 and self.loss_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """All file-configurable settings; the ``dvo``, ``ddvo`` and ``weights``
     sections are ``train.dvo``, ``train.ddvo`` and ``train.weights``."""
@@ -84,7 +63,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     scene: SceneSpec = field(default_factory=SceneSpec)
     camera: CameraSettings = field(default_factory=CameraSettings)
-    gradcheck: GradcheckSettings = field(default_factory=GradcheckSettings)
 
 
 def _section_fields(section):

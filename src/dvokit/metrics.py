@@ -73,25 +73,21 @@ def median_align(pred, gt, validity=None):
     return pred * scale
 
 
-def depth_metrics(pred, gt, validity=None, align=True,
-                  max_depth_cap=None) -> DepthMetrics:
+def depth_metrics(pred, gt, align=True, max_depth_cap=None) -> DepthMetrics:
     """Error statistics of a predicted depth map against ground truth.
 
-    A pixel is scored where ``validity`` holds and the ground truth is
-    positive (and below ``max_depth_cap``, if given).  Every scored
-    predicted depth must be positive and finite: a non-positive one has
-    no log error and would pass every ratio threshold, so it raises
-    DegenerateDepth rather than being scored or dropped.  ``align=True``
-    removes the global scale by the median ratio first.
+    A pixel is scored where the ground truth is positive (and below
+    ``max_depth_cap``, if given).  Every scored predicted depth must be
+    positive and finite: a non-positive one has no log error and would pass
+    every ratio threshold, so it raises DegenerateDepth rather than being
+    scored or dropped.  ``align=True`` removes the global scale by the
+    median ratio first.
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"prediction grid {pred.shape} and ground truth {gt.shape} differ")
-    if validity is None:
-        validity = gt > 0.0
-    else:
-        validity = np.asarray(validity, dtype=bool) & (gt > 0.0)
+    validity = gt > 0.0
     if max_depth_cap is not None:
         validity = validity & (gt < max_depth_cap)
     if not np.any(validity):

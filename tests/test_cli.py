@@ -6,7 +6,6 @@ import pytest
 from dvokit import bundled, fileio
 from dvokit import cli
 from dvokit.cli import main
-from dvokit.config import load_config
 from dvokit.geometry import Pose6D, pose_from_matrix
 from dvokit.imaging import ImageBuffer
 
@@ -116,46 +115,33 @@ class TestOdometry:
         assert set(reasons) <= {"converged", "stalled"}
 
 
-GRADCHECK_CFG = (
-    "gradcheck.instances = 2\n"
-    "gradcheck.width = 16\n"
-    "gradcheck.height = 16\n"
-)
-
-
 class TestGradcheck:
-    def test_default_passes(self, tmp_path, capsys):
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(GRADCHECK_CFG)
-        code = main(["gradcheck", "--config", str(cfg), "--seed", "0"])
+    def test_default_passes(self, capsys):
+        code = main(["gradcheck", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
-        assert "solver depth (full chain)" in out
-
-    def test_partial_chain_mode(self, tmp_path, capsys):
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(GRADCHECK_CFG + "ddvo.grad_through_jacobian = false\n")
-        code = main(["gradcheck", "--config", str(cfg), "--seed", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "frozen Jacobian" in out
-
-    def test_reads_no_ddvo_setting(self, tmp_path, capsys):
-        # The report fixes its own solver settings and always prints both
-        # solver rows, so the ddvo section leaves it unchanged.
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(GRADCHECK_CFG)
-        assert main(["gradcheck", "--config", str(cfg), "--seed", "0"]) == 0
-        default = capsys.readouterr().out
-        cfg.write_text(GRADCHECK_CFG + "ddvo.levels = 1\nddvo.damping = 0.5\n"
-                       "ddvo.grad_through_jacobian = false\n")
-        assert main(["gradcheck", "--config", str(cfg), "--seed", "0"]) == 0
-        assert capsys.readouterr().out == default
-        assert [line.split("  ")[0] for line in default.splitlines()[1:]] == [
+        assert [line.split("  ")[0] for line in out.splitlines()[1:]] == [
             "solver depth (full chain)", "solver depth (frozen Jacobian)",
             "loss depth gradient", "loss pose gradient", "depth normalization chain",
         ]
+
+    def test_takes_no_config(self, tmp_path, capsys):
+        # The report's sizes and tolerances are constants, so no config
+        # file can weaken it.
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("weights.lambda_prior = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--config", str(cfg)])
+        assert exc.value.code == 2
+
+    def test_wrong_solver_gradient_fails(self, capsys, monkeypatch):
+        # A solver VJP 1% off fails both solver rows and only those.
+        real = cli.ddvo_backward
+        monkeypatch.setattr(cli, "ddvo_backward", lambda tape, g: 1.01 * real(tape, g))
+        assert main(["gradcheck", "--seed", "0"]) == 3
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[-1] for row in rows] == ["FAIL", "FAIL", "pass", "pass", "pass"]
 
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -163,22 +149,19 @@ class TestGradcheck:
         assert exc.value.code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
-    def test_seeded_report_identical(self, tmp_path, capsys):
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(GRADCHECK_CFG)
-        main(["gradcheck", "--config", str(cfg), "--seed", "3"])
+    def test_seeded_report_identical(self, capsys):
+        main(["gradcheck", "--seed", "3"])
         first = capsys.readouterr().out
-        main(["gradcheck", "--config", str(cfg), "--seed", "3"])
+        main(["gradcheck", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
 
 
 def loss_depth_row(seed):
     """Worst error of gradcheck's loss-depth row at ``seed``, as the report
-    computes it: a fresh generator on the seed, the default instances."""
-    cfg = load_config(None)
+    computes it: a fresh generator on the seed, the fixed instance count."""
     rng = np.random.default_rng(seed)
-    return max(cli._loss_depth_error(rng, cfg) for _ in range(cfg.gradcheck.instances))
+    return max(cli._loss_depth_error(rng) for _ in range(cli.GRADCHECK_INSTANCES))
 
 
 class TestLossDepthProbe:
@@ -187,7 +170,7 @@ class TestLossDepthProbe:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_passes_at_every_seed(self, seed):
-        assert loss_depth_row(seed) < load_config(None).gradcheck.loss_tol
+        assert loss_depth_row(seed) < cli.LOSS_TOL
 
     @pytest.mark.parametrize("seed", range(10))
     def test_catches_a_dropped_prior_term(self, seed, monkeypatch):
@@ -261,7 +244,7 @@ class TestTrainDemo:
         out = tmp_path / "trace.csv"
         code = main(["train-demo", "--mode", "fixed-pose-gt", "--normalize", "off",
                      "--config", str(cfg), "--out", str(out)])
-        assert code == 2
+        assert code == 4
         assert "warp in view" in capsys.readouterr().err
         lines = out.read_text().strip().splitlines()
         assert lines == ["step,total,appearance,prior,mean_inv_depth,gt_error"]
@@ -308,16 +291,16 @@ class TestEval:
         assert abs(vals[0] - 1.0 / 6.0) < 1e-7
         assert abs(vals[4] - 2.0 / 3.0) < 1e-12
 
-    def test_no_valid_pixels_exit_2(self, tmp_path, capsys):
+    def test_no_valid_pixels_exit_4(self, tmp_path, capsys):
         p, g = self.make_pfms(
             tmp_path, np.ones((2, 2)), np.full((2, 2), -1.0)
         )
-        assert main(["eval", str(p), str(g)]) == 2
+        assert main(["eval", str(p), str(g)]) == 4
 
-    def test_negative_prediction_exit_2(self, tmp_path, capsys):
+    def test_negative_prediction_exit_4(self, tmp_path, capsys):
         p, g = self.make_pfms(tmp_path, np.array([[-1.0, 1.0, 2.0]]),
                               np.array([[1.0, 1.0, 2.0]]))
-        assert main(["eval", str(p), str(g)]) == 2
+        assert main(["eval", str(p), str(g)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not positive and finite" in captured.err
@@ -344,14 +327,14 @@ class TestEvalAte:
         assert mean < 1e-12
         assert std < 1e-12
 
-    def test_length_mismatch_exit_2(self, tmp_path, capsys):
+    def test_length_mismatch_exit_4(self, tmp_path, capsys):
         mats = [Pose6D(np.array([float(i), 0.0, 0.0]), np.zeros(3)).matrix()
                 for i in range(6)]
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         fileio.write_trajectory(a, mats)
         fileio.write_trajectory(b, mats[:-1])
-        assert main(["eval-ate", str(a), str(b)]) == 2
+        assert main(["eval-ate", str(a), str(b)]) == 4
 
     def test_non_finite_entry_exit_1(self, tmp_path, capsys):
         mats = [Pose6D(np.array([float(i), 0.0, 0.0]), np.zeros(3)).matrix()
@@ -370,12 +353,12 @@ class TestEvalAte:
         assert str(a) in captured.err
         assert f"byte offset {len(lines[0])}" in captured.err
 
-    def test_single_pose_exit_2(self, tmp_path, capsys):
+    def test_single_pose_exit_4(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         fileio.write_trajectory(a, [np.eye(4)])
         fileio.write_trajectory(b, [np.eye(4)])
-        assert main(["eval-ate", str(a), str(b)]) == 2
+        assert main(["eval-ate", str(a), str(b)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "two poses" in captured.err
@@ -425,6 +408,16 @@ class TestSynth:
             main(["synth", "--out", str(out), "--seed", "-4"])
         assert exc.value.code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--translation-frac", "--rotation-deg"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
+    def test_non_finite_or_out_of_range_motion_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "scene"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert "expected a number in [0, " in capsys.readouterr().err
         assert not out.exists()
 
     def test_generated_pair_passes_odometry(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from dvokit.config import (
     CameraSettings,
-    GradcheckSettings,
     RunConfig,
     _DEFAULTS,
     _section_fields,
@@ -41,7 +40,6 @@ class TestParseConfig:
         defaults = RunConfig()
         assert cfg.train.dvo == defaults.train.dvo
         assert cfg.train.weights == defaults.train.weights
-        assert cfg.gradcheck == defaults.gradcheck
         assert cfg.train.ddvo.unroll_iters == defaults.train.ddvo.unroll_iters
         assert cfg.train.steps == defaults.train.steps
         assert cfg.train.lr == defaults.train.lr
@@ -59,7 +57,6 @@ class TestParseConfig:
             "scene.kind = two-plane\n"
             "scene.depth_range = 1.0, 3.0\n"
             "camera.fx = 120\ncamera.fy = 120\ncamera.cx = 40\ncamera.cy = 30\n"
-            "gradcheck.instances = 3\n"
         )
         assert cfg.train.dvo.max_iters_per_level == 7
         assert cfg.train.ddvo.unroll_iters == 5
@@ -68,7 +65,6 @@ class TestParseConfig:
         assert cfg.scene.kind == "two-plane"
         assert cfg.scene.depth_range == (1.0, 3.0)
         assert cfg.camera.fx == 120.0
-        assert cfg.gradcheck.instances == 3
 
     def test_train_holds_nested_sections(self):
         cfg = parse_config("weights.lambda_prior = 0.25\nddvo.levels = 2\ntrain.lr = 0.5\n")
@@ -117,6 +113,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("nosuch.key = 1\n")
 
+    def test_gradcheck_is_not_a_section(self):
+        # dvokit gradcheck reads no config; its sizes are constants of cli.
+        with pytest.raises(ConfigError, match="unknown section 'gradcheck'"):
+            parse_config("gradcheck.instances = 3\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("dvo.bogus = 1\n")
@@ -139,8 +140,8 @@ class TestParseConfig:
             parse_config("train.normalize_depth = off\n")
 
     def test_each_setting_has_one_home(self):
-        assert [f.name for f in fields(RunConfig)] == ["train", "scene", "camera", "gradcheck"]
-        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 33
+        assert [f.name for f in fields(RunConfig)] == ["train", "scene", "camera"]
+        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 27
 
     @pytest.mark.parametrize("key", ["train.seed", "scene.texture_seed"])
     def test_negative_seed_rejected(self, key):
@@ -156,9 +157,9 @@ class TestParseConfig:
             parse_config("scene.kind = cube\n")
 
     def test_float_keys_cover_every_section_with_floats(self):
-        assert len(FLOAT_KEYS) == 15
+        assert len(FLOAT_KEYS) == 13
         assert {key.split(".")[0] for key in FLOAT_KEYS} == {
-            "dvo", "ddvo", "weights", "train", "scene", "camera", "gradcheck"
+            "dvo", "ddvo", "weights", "train", "scene", "camera"
         }
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -217,16 +218,6 @@ class TestCameraSettings:
             parse_config(f"camera.{key} = 500\n")
 
 
-class TestGradcheckSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GradcheckSettings(instances=0)
-        with pytest.raises(ValueError):
-            GradcheckSettings(width=8)
-        with pytest.raises(ValueError):
-            GradcheckSettings(solver_tol=0.0)
-
-
 NAN_CHECKED = [
     (DvoSettings, "step_norm_tol"),
     (DvoSettings, "damping"),
@@ -235,8 +226,6 @@ NAN_CHECKED = [
     (TrainConfig, "lr"),
     (CameraSettings, "fx"),
     (CameraSettings, "fy"),
-    (GradcheckSettings, "solver_tol"),
-    (GradcheckSettings, "loss_tol"),
 ]
 
 

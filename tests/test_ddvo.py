@@ -5,7 +5,6 @@ import pytest
 
 from dvokit import bundled, cli, ddvo, training
 from dvokit.bundled import small_motion_pair, training_triplet
-from dvokit.config import GradcheckSettings
 from dvokit.ddvo import DdvoSettings, ddvo_backward, ddvo_forward, replay_frozen_jacobian
 from dvokit.dvo import DvoSettings, solve_coarse_to_fine
 from dvokit.errors import ShapeMismatch, TapeMismatch
@@ -278,7 +277,7 @@ class TestBackward:
                 return seed_dot(g, R, t)
 
             err = cli._directional_error(rng, f, depth, ddvo_backward(tape, g), 1e-6)
-            assert err < GradcheckSettings().solver_tol
+            assert err < cli.SOLVER_TOL
 
     def test_replay_reproduces_forward_pose(self):
         ref, depth, src, k, _ = small_instance(7)
