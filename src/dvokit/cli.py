@@ -292,9 +292,9 @@ def _seed(text):
     return value
 
 
-def _motion(limit, text):
-    """A ``synth`` motion flag: a number in ``[0, limit]``, so nan and inf
-    are usage errors rather than a non-finite pose."""
+def _in_range(limit, text):
+    """A number in ``[0, limit]``, so nan (and inf, for a finite ``limit``)
+    is a usage error rather than a non-finite pose or an empty score."""
     try:
         value = float(text)
     except ValueError:
@@ -339,7 +339,8 @@ def build_parser():
     p.add_argument("pred", help="predicted depth (PFM)")
     p.add_argument("gt", help="ground-truth depth (PFM)")
     p.add_argument("--align", action="store_true", help="median scale alignment")
-    p.add_argument("--cap", type=float, default=None, help="max ground-truth depth")
+    p.add_argument("--cap", type=partial(_in_range, math.inf), default=None,
+                   help="max ground-truth depth, in [0, inf]")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("eval-ate", help="absolute trajectory error over 5-frame snippets")
@@ -351,9 +352,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_seed, default=None, help="override scene.texture_seed")
-    p.add_argument("--translation-frac", type=partial(_motion, 1.0), default=0.01,
+    p.add_argument("--translation-frac", type=partial(_in_range, 1.0), default=0.01,
                    help="motion as a fraction of the scene depth, in [0, 1]")
-    p.add_argument("--rotation-deg", type=partial(_motion, 180.0), default=0.5,
+    p.add_argument("--rotation-deg", type=partial(_in_range, 180.0), default=0.5,
                    help="rotation angle in degrees, in [0, 180]")
     p.set_defaults(handler=cmd_synth)
 

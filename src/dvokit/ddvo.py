@@ -20,9 +20,8 @@ Depth enters the unrolled computation three ways:
 
 (a) inside the warp that resamples the source image each iteration;
 (b) inside the translational columns of the precomputed Jacobian J;
-(c) through J inside the normal-equation solve (J^T W J + lambda I)^-1,
-    the pseudo-inverse path; the damping lambda is a constant and carries
-    no depth.
+(c) through J inside the normal-equation solve (J^T W J)^-1, the
+    pseudo-inverse path.
 
 Paths (b) and (c) can be switched off (``grad_through_jacobian=False``)
 to measure their contribution; path (a) is always active.
@@ -32,7 +31,7 @@ takes and walks its levels (``dvo.level_systems``).  One unroll takes
 ``dvo``'s Gauss-Newton steps on each level and records the tape; the
 frozen-Jacobian replay runs it over the tape's levels with new depths in
 the warp.  The tape keeps each level's system (points, J, its depth
-factor A and the damped normal matrix with every point in view) and
+factor A and the normal matrix with every point in view) and
 each iteration's downdated normal matrix H and step rotation, so the
 backward pass rebuilds none of them.
 
@@ -88,20 +87,17 @@ class DdvoSettings:
 
     unroll_iters: int = 3
     levels: int = 1
-    damping: float = 0.0
     grad_through_jacobian: bool = True
 
     def __post_init__(self):
         if self.unroll_iters < 1 or self.levels < 1:
             raise ValueError("unroll_iters and levels must be >= 1")
-        if not self.damping >= 0.0:
-            raise ValueError("damping must be non-negative")
 
 
 @dataclass(frozen=True)
 class _IterRecord:
-    """Pose state entering one unrolled iteration, its damped normal
-    matrix ``H``, the update it produced and that update's rotation."""
+    """Pose state entering one unrolled iteration, its normal matrix
+    ``H``, the update it produced and that update's rotation."""
 
     R: np.ndarray
     t: np.ndarray
@@ -155,7 +151,7 @@ def ddvo_forward(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
                  settings: DdvoSettings, init: Pose6D = Pose6D.identity()):
     """Run the fixed unrolled solve on (H, W) arrays from ``init``;
     returns ``(pose, tape)``."""
-    walk = level_systems(ref_gray, ref_depth, src_gray, k, settings.levels, settings.damping)
+    walk = level_systems(ref_gray, ref_depth, src_gray, k, settings.levels)
     R, t, levels = _unroll(walk, *init.rt(), settings.unroll_iters)
     return Pose6D(t, so3_log(R)), DdvoTape(settings, levels, R, t)
 

@@ -11,9 +11,8 @@ solver comes in three pieces that the unrolled solver in ``ddvo`` and
 its frozen-Jacobian replay share:
 
 * ``level_systems`` walks the pyramid levels, building each level's
-  Jacobian ``J`` and its normal matrix ``H = J^T J + lambda I`` once on
-  the reference image; the damping ``lambda`` is a constant, 0 (plain
-  Gauss-Newton) by default;
+  Jacobian ``J`` and its normal matrix ``H = J^T J`` once on the
+  reference image (plain Gauss-Newton);
 * ``gauss_newton_step`` subtracts the rows of the pixels out of view
   from ``H`` each iteration (an exact downdate: the weights ``W =
   diag(mask)`` are 0 or 1) and solves the 6x6 system, so masked-out
@@ -62,7 +61,7 @@ from .imaging import check_grids, gradient_arr, pyramid_arr
 from .imaging import bilinear_many  # noqa: F401
 from .warp import in_view, points, warp_and_sample
 
-# Condition-number ceiling for the damped normal equations.
+# Condition-number ceiling for the normal equations.
 MAX_CONDITION = 1e12
 
 
@@ -74,9 +73,6 @@ class DvoSettings:
     max_iters_per_level: int = 20
     step_norm_tol: float = 1e-8
     residual_rel_tol: float = 1e-4  # 0 turns the stall rule off
-    # lambda in J^T J + lambda I; 0 keeps (s D) -> (R, t / s) exact, and any
-    # lambda > 0 breaks it (J's translational columns scale with s).
-    damping: float = 0.0
 
     def __post_init__(self):
         if self.levels < 1 or self.max_iters_per_level < 1:
@@ -85,8 +81,6 @@ class DvoSettings:
             raise ValueError("step_norm_tol must be positive")
         if not self.residual_rel_tol >= 0.0:
             raise ValueError("residual_rel_tol must be non-negative")
-        if not self.damping >= 0.0:
-            raise ValueError("damping must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class LevelSystem(NamedTuple):
     X: np.ndarray  # (4, N) warp points [u, v, 1, d], see warp.points
     J: np.ndarray  # (N, 6) photometric Jacobian at the identity pose
     A: np.ndarray  # (3, N) depth factor of J: J[:, :3] = d * A.T
-    H: np.ndarray  # J^T J + lambda I, the damped normal matrix with every point in view
+    H: np.ndarray  # J^T J, the normal matrix with every point in view
     ref_flat: np.ndarray  # reference intensities, one per point
 
 
@@ -151,13 +145,13 @@ def build_jacobian(ref_gray, X, k: CameraIntrinsics):
     return np.ascontiguousarray(Jt.T), A
 
 
-def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, damping):
+def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels):
     """Yield ``(src_gray, k_level, LevelSystem)`` per level, coarsest first.
 
     Checks the grids and builds the pyramids once; each level's Jacobian
-    and normal matrix, damped by the constant ``damping``, are built when
-    the walk reaches it.  Raises SingularSystem when a level's normal
-    equations are numerically singular (an untextured reference image).
+    and normal matrix are built when the walk reaches it.  Raises
+    SingularSystem when a level's normal equations are numerically
+    singular (an untextured reference image).
     """
     check_grids({"reference": ref_gray, "depth": ref_depth, "source": src_gray})
     ref_pyr = pyramid_arr(ref_gray, levels)
@@ -167,20 +161,20 @@ def level_systems(ref_gray, ref_depth, src_gray, k: CameraIntrinsics, levels, da
         k_level = k.at_level(level)
         X = points(k_level, depth_pyr[level])
         J, A = build_jacobian(ref_pyr[level], X, k_level)
-        H = J.T @ J + damping * np.eye(6)
+        H = J.T @ J
         if not _well_conditioned(H):
             raise SingularSystem("reference image lacks texture for a 6-DoF solve")
         yield src_pyr[level], k_level, LevelSystem(X, J, A, H, ref_pyr[level].ravel())
 
 
 def gauss_newton_step(system: LevelSystem, residual, mask):
-    """One damped Gauss-Newton step from the weighted residual.
+    """One Gauss-Newton step from the weighted residual.
 
     ``residual`` is ``W r = (ref - sampled) * mask``, where ``sampled``
     and the boolean ``mask`` are what ``warp.warp_and_sample`` returns at
-    the current pose.  Returns ``(delta, H)``: the step ``delta = (J^T W J
-    + lambda I)^-1 J^T W r`` on ``(t, omega)``, with ``W = diag(mask)``,
-    and the damped normal matrix ``H``.
+    the current pose.  Returns ``(delta, H)``: the step ``delta = (J^T W
+    J)^-1 J^T W r`` on ``(t, omega)``, with ``W = diag(mask)``, and the
+    normal matrix ``H``.
 
     The weights are 0 or 1, so ``H`` is the level's ``system.H`` less
     ``J_out^T J_out`` over the rows ``J_out`` of the points out of view,
@@ -210,7 +204,7 @@ def update_pose(delta, R, t):
     2004).  Near alignment the source warped by ``T(delta) T(p)`` varies
     with ``delta`` as the reference warped by ``T(delta)`` does, up to the
     adjoint of ``T(p)``, so ``r(T(delta) T(p)) ~ r(p) - J delta``.  The
-    Gauss-Newton step ``delta = (J^T W J + lambda I)^-1 J^T W r`` lowers
+    Gauss-Newton step ``delta = (J^T W J)^-1 J^T W r`` lowers
     that as it stands, so it composes on the left without inversion;
     ``T(delta)^-1 T(p)`` would step by ``-delta``.
     """
@@ -267,7 +261,7 @@ def solve_coarse_to_fine(ref_gray, ref_depth, src_gray, k: CameraIntrinsics,
     R, t = init.rt()
     iters, history, reasons = [], [], []
     for src_level, k_level, system in level_systems(
-        ref_gray, ref_depth, src_gray, k, settings.levels, settings.damping
+        ref_gray, ref_depth, src_gray, k, settings.levels
     ):
         R, t, residuals, reason, valid_fraction = solve_level_arrays(
             system, src_level, k_level, R, t, settings

@@ -12,6 +12,7 @@ which parsing failed.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -125,8 +126,10 @@ def _read_pfm_body(cur, magic):
     except ValueError:
         cur.pos -= len(scale_tok)
         cur.fail(f"invalid scale {scale_tok!r}")
-    if scale == 0.0:
-        cur.fail("PFM scale must be nonzero")
+    if scale == 0.0 or not math.isfinite(scale):
+        # The scale's sign gives the byte order and its size the units;
+        # nan has no sign and inf no size.
+        cur.fail(f"PFM scale must be finite and nonzero, got {scale_tok!r}")
     if width <= 0 or height <= 0:
         cur.fail(f"invalid dimensions {width}x{height}")
     cur.raw(1, "header terminator")

@@ -297,6 +297,23 @@ class TestEval:
         )
         assert main(["eval", str(p), str(g)]) == 4
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_cap_is_usage_error(self, tmp_path, capsys, value):
+        gt = np.random.default_rng(2).uniform(1.0, 5.0, size=(8, 8))
+        p, g = self.make_pfms(tmp_path, gt, gt)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(p), str(g), "--cap", value])
+        assert exc.value.code == 2
+        assert "expected a number in [0, inf]" in capsys.readouterr().err
+
+    def test_infinite_cap_scores_every_pixel(self, tmp_path, capsys):
+        gt = np.random.default_rng(3).uniform(1.0, 5.0, size=(8, 8))
+        p, g = self.make_pfms(tmp_path, 1.1 * gt, gt)
+        assert main(["eval", str(p), str(g)]) == 0
+        uncapped = capsys.readouterr().out
+        assert main(["eval", str(p), str(g), "--cap", "inf"]) == 0
+        assert capsys.readouterr().out == uncapped
+
     def test_negative_prediction_exit_4(self, tmp_path, capsys):
         p, g = self.make_pfms(tmp_path, np.array([[-1.0, 1.0, 2.0]]),
                               np.array([[1.0, 1.0, 2.0]]))

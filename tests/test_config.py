@@ -91,15 +91,15 @@ class TestParseConfig:
             cfg = parse_config(f"ddvo.{f.name} = {str(value).lower()}\n")
             assert getattr(cfg.train.ddvo, f.name) == value, f.name
 
-    def test_damping_is_a_plain_number(self):
+    def test_damping_keys_unknown(self):
+        # Both solvers take plain Gauss-Newton steps; no key damps them.
         for section in ("dvo", "ddvo"):
-            assert getattr(parse_config("").train, section).damping == 0.0
-            cfg = parse_config(f"{section}.damping = 0.5\n")
-            assert getattr(cfg.train, section).damping == 0.5
+            with pytest.raises(ConfigError, match=f"unknown key '{section}.damping'"):
+                parse_config(f"{section}.damping = 0.5\n")
 
     def test_damping_none_rejected(self):
         for section in ("dvo", "ddvo"):
-            with pytest.raises(ConfigError, match="expected a number"):
+            with pytest.raises(ConfigError, match=f"unknown key '{section}.damping'"):
                 parse_config(f"{section}.damping = none\n")
 
     def test_no_key_defaults_to_none(self):
@@ -141,7 +141,7 @@ class TestParseConfig:
 
     def test_each_setting_has_one_home(self):
         assert [f.name for f in fields(RunConfig)] == ["train", "scene", "camera"]
-        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 27
+        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 25
 
     @pytest.mark.parametrize("key", ["train.seed", "scene.texture_seed"])
     def test_negative_seed_rejected(self, key):
@@ -157,9 +157,9 @@ class TestParseConfig:
             parse_config("scene.kind = cube\n")
 
     def test_float_keys_cover_every_section_with_floats(self):
-        assert len(FLOAT_KEYS) == 13
+        assert len(FLOAT_KEYS) == 11
         assert {key.split(".")[0] for key in FLOAT_KEYS} == {
-            "dvo", "ddvo", "weights", "train", "scene", "camera"
+            "dvo", "weights", "train", "scene", "camera"
         }
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -220,8 +220,6 @@ class TestCameraSettings:
 
 NAN_CHECKED = [
     (DvoSettings, "step_norm_tol"),
-    (DvoSettings, "damping"),
-    (DdvoSettings, "damping"),
     (LossWeights, "lambda_prior"),
     (TrainConfig, "lr"),
     (CameraSettings, "fx"),

@@ -40,7 +40,7 @@ class TestPrecomputeReferenceSystem:
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
         with pytest.raises(SingularSystem):
             solve_coarse_to_fine(
-                img, depth, img, k, Pose6D.identity(), DvoSettings(levels=1, damping=0.0)
+                img, depth, img, k, Pose6D.identity(), DvoSettings(levels=1)
             )
 
     def test_jacobian_matches_finite_differences(self):
@@ -78,29 +78,28 @@ class TestPrecomputeReferenceSystem:
             assert np.max(np.abs(fd[interior] - J[interior, j])) < 1e-5
 
 
-def finest_system(ref, depth, src, k, damping=DvoSettings().damping):
+def finest_system(ref, depth, src, k):
     """``(src, k, LevelSystem)`` of the finest level alone."""
-    return next(dvo.level_systems(ref, depth, src, k, 1, damping))
+    return next(dvo.level_systems(ref, depth, src, k, 1))
 
 
 class TestNormalMatrix:
-    @pytest.mark.parametrize("damping", [0.0, 1e-3])
     @pytest.mark.parametrize("fraction", [1.0, 0.97, 0.25])
-    def test_downdate_matches_weighted_product(self, fraction, damping):
+    def test_downdate_matches_weighted_product(self, fraction):
         ref, depth, src, _, k = small_motion_pair(0)
-        _, _, system = finest_system(ref, depth, src, k, damping)
+        _, _, system = finest_system(ref, depth, src, k)
         J = system.J
         n = J.shape[0]
         mask = np.zeros(n, dtype=bool)
         mask[np.random.default_rng(7).permutation(n)[: round(fraction * n)]] = True
         _, H = dvo.gauss_newton_step(system, (system.ref_flat - src.ravel()) * mask, mask)
-        expected = J.T @ (J * mask[:, None]) + damping * np.eye(6)
+        expected = J.T @ (J * mask[:, None])
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_every_point_in_view_returns_the_level_matrix(self):
         ref, depth, src, _, k = small_motion_pair(0)
         _, _, system = finest_system(ref, depth, src, k)
-        # The default damping is 0: the level matrix is J^T J as it stands.
+        # The level matrix is J^T J as it stands.
         assert np.array_equal(system.H, system.J.T @ system.J)
         _, H = dvo.gauss_newton_step(system, system.ref_flat - src.ravel(),
                                      np.ones(ref.size, dtype=bool))
@@ -114,7 +113,7 @@ class TestNormalMatrix:
         ref[:, :6] = np.random.default_rng(3).uniform(size=(16, 6))
         depth = np.full((16, 16), 0.4)
         k = CameraIntrinsics(16.0, 16.0, 7.5, 7.5)
-        _, _, system = finest_system(ref, depth, ref, k, damping=0.0)
+        _, _, system = finest_system(ref, depth, ref, k)
         untextured = ~system.J.any(axis=1)
         assert untextured.mean() >= MIN_VALID_FRACTION
         with pytest.raises(SingularSystem):
@@ -336,8 +335,6 @@ class TestValidation:
             DvoSettings(levels=0)
         with pytest.raises(ValueError):
             DvoSettings(step_norm_tol=0.0)
-        with pytest.raises(ValueError):
-            DvoSettings(damping=-1.0)
         with pytest.raises(ValueError):
             DvoSettings(residual_rel_tol=-1.0)
 

@@ -81,10 +81,14 @@ class TestPfm:
         assert e.value.offset == len(blob)
 
     def test_zero_scale_rejected(self, tmp_path):
+        # A non-finite scale carries no byte order either: nan and inf
+        # would otherwise read little-endian data as big-endian.
         path = tmp_path / "z.pfm"
-        path.write_bytes(b"Pf\n1 1\n0.0\n\x00\x00\x00\x00")
-        with pytest.raises(FileFormatError):
-            fileio.read_pfm(path)
+        payload = np.ones(4, dtype="<f4").tobytes()
+        for scale in (b"0.0", b"nan", b"inf", b"-inf"):
+            path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + payload)
+            with pytest.raises(FileFormatError, match="finite and nonzero"):
+                fileio.read_pfm(path)
 
     def test_no_partial_file_on_failed_write(self, tmp_path):
         target = tmp_path / "out.pfm"

@@ -2,10 +2,7 @@
 
 The warp sees depth only through the product ``d * t``, so a solve on
 ``s D`` lands on ``(R, t / s)`` after the same iterations, and the depth
-gradient of a pose seed scales by ``1 / s``.  The tests run the solvers
-at their default settings, whose damping is 0; an explicit
-``damping > 0`` breaks the equivariance, because the translational
-columns of ``J`` scale with ``s`` and a constant ``lambda`` does not.
+gradient of a pose seed scales by ``1 / s``.
 """
 
 from functools import lru_cache
