@@ -15,18 +15,17 @@ import numpy as np
 from .geometry import Pose6D
 from .synth import SceneSpec, make_pair, make_triplet
 
-# Mean scene depth of the default fixtures (scene units).
-SCENE_DEPTH = 3.0
+# Mean scene depth of the fixtures (scene units): the scene default.
+SCENE_DEPTH = SceneSpec().mean_depth
 
 
 def pose_recovery_spec(seed):
     """Scene for the small-motion pose-recovery suite."""
     return SceneSpec(
-        kind="smooth-height-field",
         texture_seed=seed,
         width=160,
         height=128,
-        depth_range=(2.0, 4.0),
+        height_amplitude=0.15,
     )
 
 
@@ -56,13 +55,12 @@ def small_motion_pair(seed):
 def large_motion_spec():
     """High-frequency scene on which single-level alignment fails at 5% motion."""
     return SceneSpec(
-        kind="smooth-height-field",
         texture_seed=1,
         width=160,
         height=128,
-        depth_range=(2.0, 4.0),
         texture_waves=12,
         texture_max_freq=40.0,
+        height_amplitude=0.15,
     )
 
 
@@ -83,11 +81,9 @@ def training_spec(width=80, height=64):
     un-normalized runs exhibit the scale-drift behavior the demos show.
     """
     return SceneSpec(
-        kind="smooth-height-field",
         texture_seed=7,
         width=width,
         height=height,
-        depth_range=(2.0, 4.0),
         texture_waves=14,
         texture_max_freq=20.0,
         texture_contrast=0.2,
@@ -100,7 +96,7 @@ def training_triplet(spec=None, translation_frac=0.05):
     clip, or the same camera path over ``spec``, its steps scaled by the
     scene's mean depth."""
     spec = training_spec() if spec is None else spec
-    mean_depth = float(np.mean(spec.depth_range))
+    mean_depth = spec.mean_depth
     step = translation_frac * mean_depth
     p21 = Pose6D(np.array([-step, 0.0, 0.015 * mean_depth]), np.array([0.0, 0.006, 0.0]))
     p23 = Pose6D(np.array([step, 0.0, -0.012 * mean_depth]), np.array([0.0, -0.005, 0.002]))

@@ -80,14 +80,13 @@ def cmd_odometry(args) -> int:
 def _scene(rng, width, height):
     """A small textured height field whose texture seed is drawn from ``rng``."""
     return synth.SceneSpec(
-        kind="smooth-height-field",
         texture_seed=int(rng.integers(0, 2**31)),
         width=width,
         height=height,
-        depth_range=(2.0, 4.0),
         texture_waves=6,
         texture_max_freq=3.0,
         texture_contrast=0.3,
+        height_amplitude=0.15,
     )
 
 
@@ -233,8 +232,8 @@ def cmd_train_demo(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = fileio.read_pfm(args.pred)
-    gt = fileio.read_pfm(args.gt)
+    pred = fileio.read_depth_pfm(args.pred)
+    gt = fileio.read_depth_pfm(args.gt)
     m = depth_metrics(pred, gt, align=args.align, max_depth_cap=args.cap)
     print("abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3")
     print(

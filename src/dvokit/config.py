@@ -7,9 +7,10 @@ defaults.  The ``dvo``, ``ddvo`` and ``weights`` sections fill
 ``RunConfig.train``, the whole ``TrainConfig``, so each setting has one
 home.  Depth normalization is ``dvokit train-demo --normalize``, not a
 key, and ``dvokit gradcheck`` reads no config: its sizes and tolerances
-are constants of ``cli``.  Unknown sections and keys are rejected, and
-values are validated by the settings types themselves (their
-``__post_init__`` checks run at load time).
+are constants of ``cli``.  Every value is a boolean, an integer or a
+finite number, by the type of the field's default.  Unknown sections and
+keys are rejected, and values are validated by the settings types
+themselves (their ``__post_init__`` checks run at load time).
 """
 
 from __future__ import annotations
@@ -93,20 +94,11 @@ def _convert(section, key, raw, current):
         if low in _FALSE:
             return False
         raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected an integer, got {raw!r}")
-    if isinstance(current, str):
-        return raw
-    if isinstance(current, tuple):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        return tuple(_finite_float(where, p) for p in parts)
-    return _finite_float(where, raw)
-
-
-def _finite_float(where, raw):
     try:
         value = float(raw)
     except ValueError:

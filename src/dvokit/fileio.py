@@ -21,6 +21,9 @@ import numpy as np
 from .errors import FileFormatError
 from .imaging import ImageBuffer, InverseDepthMap
 
+# Largest entry of |R^T R - I| a trajectory row's rotation may carry.
+ROTATION_TOL = 1e-4
+
 
 class _ByteCursor:
     """Byte-level scanner over a whole file kept in memory."""
@@ -155,11 +158,16 @@ def read_pfm(path) -> np.ndarray:
     return data[:, :, 0] if data.shape[2] == 1 else data
 
 
-def read_inverse_depth(path) -> InverseDepthMap:
+def read_depth_pfm(path) -> np.ndarray:
+    """Single-channel PFM raster as a (H, W) float array."""
     data = read_pfm(path)
     if data.ndim != 2:
-        raise FileFormatError(path, "inverse depth must be single-channel")
-    return InverseDepthMap.from_array(data)
+        raise FileFormatError(path, "a depth map must be single-channel")
+    return data
+
+
+def read_inverse_depth(path) -> InverseDepthMap:
+    return InverseDepthMap.from_array(read_depth_pfm(path))
 
 
 def write_pgm(path, img: ImageBuffer):
@@ -199,7 +207,9 @@ def write_pfm(path, data):
 def read_trajectory(path):
     """KITTI-odometry style poses: one row-major 3x4 (12 floats) per line.
 
-    Returns a list of 4x4 transforms.
+    Returns a list of 4x4 transforms.  Each 3x3 block must be a rotation,
+    ``det > 0`` and ``max|R^T R - I| <= ROTATION_TOL``, which rows written to
+    6 significant digits meet.
     """
     poses = []
     offset = 0
@@ -219,6 +229,11 @@ def read_trajectory(path):
                     raise FileFormatError(path, "pose line has a non-finite value", offset=offset)
                 T = np.eye(4)
                 T[:3] = np.array(vals).reshape(3, 4)
+                R = T[:3, :3]
+                if not (np.linalg.det(R) > 0.0
+                        and np.max(np.abs(R.T @ R - np.eye(3))) <= ROTATION_TOL):
+                    raise FileFormatError(path, "pose line's 3x3 block is not a rotation",
+                                          offset=offset)
                 poses.append(T)
             offset += len(line)
     if not poses:

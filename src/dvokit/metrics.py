@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DegenerateDepth, LengthMismatch, NoValidPixels, ShapeMismatch
 from .geometry import pose_from_matrix
 
+# Frames per ATE snippet, the paper's protocol.
+SNIPPET_LEN = 5
+
 
 @dataclass(frozen=True)
 class DepthMetrics:
@@ -59,11 +62,12 @@ class Trajectory:
 
 
 def median_align(pred, gt, validity=None):
-    """Scale ``pred`` so its median over valid pixels matches ``gt``'s."""
+    """Scale ``pred`` so its median over valid pixels matches ``gt``'s;
+    by default a pixel is valid where ``gt`` is positive and finite."""
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if validity is None:
-        validity = gt > 0.0
+        validity = np.isfinite(gt) & (gt > 0.0)
     if not np.any(validity):
         raise NoValidPixels("no valid ground-truth pixels")
     med_pred = float(np.median(pred[validity]))
@@ -76,8 +80,9 @@ def median_align(pred, gt, validity=None):
 def depth_metrics(pred, gt, align=True, max_depth_cap=None) -> DepthMetrics:
     """Error statistics of a predicted depth map against ground truth.
 
-    A pixel is scored where the ground truth is positive (and below
-    ``max_depth_cap``, if given).  Every scored predicted depth must be
+    A pixel is scored where the ground truth is positive and finite (and
+    below ``max_depth_cap``, if given), so ``max_depth_cap=inf`` scores as
+    no cap does.  Every scored predicted depth must be
     positive and finite: a non-positive one has no log error and would pass
     every ratio threshold, so it raises DegenerateDepth rather than being
     scored or dropped.  ``align=True`` removes the global scale by the
@@ -87,7 +92,7 @@ def depth_metrics(pred, gt, align=True, max_depth_cap=None) -> DepthMetrics:
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"prediction grid {pred.shape} and ground truth {gt.shape} differ")
-    validity = gt > 0.0
+    validity = np.isfinite(gt) & (gt > 0.0)
     if max_depth_cap is not None:
         validity = validity & (gt < max_depth_cap)
     if not np.any(validity):
@@ -139,10 +144,10 @@ def similarity_align(points_a, points_b):
     return s, R, t
 
 
-def ate(pred: Trajectory, gt: Trajectory, snippet_len: int = 5):
+def ate(pred: Trajectory, gt: Trajectory):
     """Absolute Trajectory Error over sliding snippets.
 
-    Each window of ``snippet_len`` consecutive frames is aligned to the
+    Each window of ``SNIPPET_LEN`` consecutive frames is aligned to the
     ground truth by a similarity transform, then the RMSE of the
     translational residuals is taken; returns ``(mean, std)`` across all
     windows (stride 1).
@@ -152,14 +157,14 @@ def ate(pred: Trajectory, gt: Trajectory, snippet_len: int = 5):
             f"trajectory lengths differ: {len(pred.poses)} vs {len(gt.poses)}"
         )
     n = len(pred.poses)
-    if n < snippet_len:
-        raise LengthMismatch(f"need at least {snippet_len} frames, got {n}")
+    if n < SNIPPET_LEN:
+        raise LengthMismatch(f"need at least {SNIPPET_LEN} frames, got {n}")
     pos_pred = pred.positions()
     pos_gt = gt.positions()
     errors = []
-    for start in range(n - snippet_len + 1):
-        a = pos_pred[start:start + snippet_len]
-        b = pos_gt[start:start + snippet_len]
+    for start in range(n - SNIPPET_LEN + 1):
+        a = pos_pred[start:start + SNIPPET_LEN]
+        b = pos_gt[start:start + SNIPPET_LEN]
         s, R, t = similarity_align(a, b)
         resid = (s * (a @ R.T) + t) - b
         errors.append(float(np.sqrt(np.mean(np.sum(resid * resid, axis=1)))))

@@ -1,19 +1,21 @@
 """Deterministic synthetic scenes with exact depth and pose ground truth.
 
-A scene is a surface in the reference camera frame carrying a band-limited
-procedural texture (a seeded sum of sinusoids over the reference-view
-projection coordinates).  Smooth textures keep bilinear-interpolation error
-small, which is what makes the finite-difference and pose-recovery oracles
-tight.
+A scene is one surface model: a height field in the reference camera
+frame, low-frequency relief around ``mean_depth`` (``height_amplitude = 0``
+is the fronto-parallel plane), carrying a band-limited procedural texture
+(a seeded sum of sinusoids over the reference-view projection
+coordinates).  Smooth textures keep bilinear-interpolation error small,
+which is what makes the finite-difference and pose-recovery oracles tight.
 
 The reference view is evaluated directly on its pixel grid
 (``make_scene``).  A view at another pose is rendered analytically by one
 ray cast (``render_scene_view``): each view pixel's ray is intersected
 with the surface exactly, which gives the view's inverse depth, and the
 texture is evaluated in closed form at the hit, so a rendered pair is
-photometrically consistent to machine precision.  On a height field the
-intersection is 60 fixed-point steps per ray; a ray whose step returns its
-depth unchanged leaves the loop, which leaves the result as it was.
+photometrically consistent to machine precision.  The intersection is 60
+fixed-point steps per ray; a ray whose step returns its depth unchanged
+leaves the loop, which leaves the result as it was.  On a plane every ray
+leaves after its first step.
 
 Poses follow the package convention: a view's pose maps reference-frame
 points into the view frame, ``X_view = R @ X_ref + t``.
@@ -28,18 +30,15 @@ import numpy as np
 from .geometry import EPSILON_Z, CameraIntrinsics, Pose6D, so3_exp
 from .imaging import ImageBuffer, InverseDepthMap
 
-SCENE_KINDS = ("textured-plane", "two-plane", "smooth-height-field")
-
-
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters of a procedural scene."""
+    """Parameters of a procedural scene; the defaults are a plane."""
 
-    kind: str = "textured-plane"
     texture_seed: int = 0
     width: int = 160
     height: int = 128
-    depth_range: tuple = (2.0, 4.0)
+    # Depth of the surface before relief, in scene units.
+    mean_depth: float = 3.0
     intrinsics: CameraIntrinsics | None = None
     # Texture spectrum: wave count and maximum frequency in cycles per
     # normalized image unit.  Higher frequencies shrink the solver's
@@ -49,19 +48,16 @@ class SceneSpec:
     # Peak-to-midpoint amplitude of the texture around 0.5; at most 0.45
     # so values stay inside [0.05, 0.95].
     texture_contrast: float = 0.45
-    # Height-field relief as a fraction of the mean depth.
-    height_amplitude: float = 0.15
+    # Height-field relief as a fraction of the mean depth; 0 is a plane.
+    height_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SCENE_KINDS:
-            raise ValueError(f"unknown scene kind {self.kind!r}")
         if self.texture_seed < 0:
             raise ValueError("texture_seed must be non-negative")
         if self.width < 16 or self.height < 16:
             raise ValueError("scene grid must be at least 16x16")
-        near, far = self.depth_range
-        if not (0.0 < near <= far):
-            raise ValueError("depth range must be positive and ordered")
+        if not 0.0 < self.mean_depth < np.inf:
+            raise ValueError("mean_depth must be positive and finite")
         if not 0.0 < self.texture_contrast <= 0.45:
             raise ValueError("texture_contrast must lie in (0, 0.45]")
         if self.texture_waves < 1:
@@ -106,25 +102,10 @@ def _texture(spec: SceneSpec):
 
 
 def _height_field(spec: SceneSpec):
-    """Closure z(u, v): surface depth along the reference ray (u, v, 1)."""
-    near, far = spec.depth_range
-    z0 = 0.5 * (near + far)
+    """Closure z(u, v): surface depth along the reference ray (u, v, 1),
+    low-frequency relief around the mean depth."""
+    z0 = spec.mean_depth
     rng = np.random.default_rng(spec.texture_seed + 1)
-
-    if spec.kind == "textured-plane":
-        def depth(u, v):
-            return np.full(np.broadcast(u, v).shape, z0)
-
-        return depth
-
-    if spec.kind == "two-plane":
-        def depth(u, v):
-            u = np.asarray(u, dtype=float)
-            return np.where(u < 0.0, near, far)
-
-        return depth
-
-    # smooth-height-field: low-frequency relief around the mean depth
     amp = spec.height_amplitude * z0
     freqs = rng.uniform(0.5, 2.0, size=3)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
@@ -169,54 +150,27 @@ def _intersect_rays(spec: SceneSpec, p: Pose6D, dirs):
     a = dirs @ R  # R^T applied to each direction
     b = -(R.T @ p.t)
     depth = _height_field(spec)
-    near, far = spec.depth_range
-
-    if spec.kind == "two-plane":
-        best_lam = None
-        best_uv = None
-        best_score = None
-        for z_plane, side in ((near, -1.0), (far, 1.0)):
-            lam = (z_plane - b[2]) / a[..., 2]
-            z_ref = lam * a[..., 2] + b[2]
-            u = (lam * a[..., 0] + b[0]) / z_ref
-            v = (lam * a[..., 1] + b[1]) / z_ref
-            on_side = (u * side) >= 0.0
-            ok = (lam > EPSILON_Z) & on_side
-            # Prefer the membership-consistent hit; fall back to the nearer one.
-            score = np.where(ok, lam, np.where(lam > EPSILON_Z, lam + 1e6, np.inf))
-            if best_lam is None:
-                best_lam, best_uv, best_score = lam, (u, v), score
-            else:
-                take = score < best_score
-                best_lam = np.where(take, lam, best_lam)
-                best_uv = (np.where(take, u, best_uv[0]), np.where(take, v, best_uv[1]))
-                best_score = np.minimum(score, best_score)
-        valid = np.isfinite(best_score)
-        lam = np.where(valid, best_lam, 1.0)
-        return lam, best_uv[0], best_uv[1], valid
-
-    # The mean depth: the plane's depth, and the height field's first iterate.
-    lam = (0.5 * (near + far) - b[2]) / a[..., 2]
-    if spec.kind != "textured-plane":
-        # Fixed-point iteration lam <- (z(u(lam), v(lam)) - b_z) / a_z, 60
-        # steps; contraction ~ relief slope / mean depth, far below 1.  A ray
-        # whose step returns its lam exactly keeps it for good, so it leaves
-        # the live set and the result is still every ray's 60th iterate.
-        shape = lam.shape
-        lam = lam.ravel()
-        ax, ay, az = a.reshape(-1, 3).T
-        live = np.arange(lam.size)
-        for _ in range(60):
-            lv, az_l = lam[live], az[live]
-            z_ref = lv * az_l + b[2]
-            u = (lv * ax[live] + b[0]) / z_ref
-            v = (lv * ay[live] + b[1]) / z_ref
-            nxt = (depth(u, v) - b[2]) / az_l
-            lam[live] = nxt
-            live = live[nxt != lv]
-            if live.size == 0:
-                break
-        lam = lam.reshape(shape)
+    # Fixed-point iteration lam <- (z(u(lam), v(lam)) - b_z) / a_z from the
+    # mean depth, 60 steps; contraction ~ relief slope / mean depth, far
+    # below 1.  A ray whose step returns its lam exactly keeps it for good,
+    # so it leaves the live set and the result is still every ray's 60th
+    # iterate.
+    lam = (spec.mean_depth - b[2]) / a[..., 2]
+    shape = lam.shape
+    lam = lam.ravel()
+    ax, ay, az = a.reshape(-1, 3).T
+    live = np.arange(lam.size)
+    for _ in range(60):
+        lv, az_l = lam[live], az[live]
+        z_ref = lv * az_l + b[2]
+        u = (lv * ax[live] + b[0]) / z_ref
+        v = (lv * ay[live] + b[1]) / z_ref
+        nxt = (depth(u, v) - b[2]) / az_l
+        lam[live] = nxt
+        live = live[nxt != lv]
+        if live.size == 0:
+            break
+    lam = lam.reshape(shape)
     z_ref = lam * a[..., 2] + b[2]
     valid = (lam > EPSILON_Z) & (z_ref > EPSILON_Z)
     safe = np.where(valid, z_ref, 1.0)

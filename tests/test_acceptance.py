@@ -74,11 +74,10 @@ class TestCoarseToFine:
 
 def small_instance(rng):
     spec = SceneSpec(
-        kind="smooth-height-field",
+        height_amplitude=0.15,
         texture_seed=int(rng.integers(0, 2**31)),
         width=16,
         height=16,
-        depth_range=(2.0, 4.0),
         texture_waves=6,
         texture_max_freq=3.0,
         texture_contrast=0.3,
@@ -122,11 +121,10 @@ class TestSolverGradients:
         worst = 0.0
         for _ in range(5):
             spec = SceneSpec(
-                kind="smooth-height-field",
+                height_amplitude=0.15,
                 texture_seed=int(rng.integers(0, 2**31)),
                 width=48,
                 height=32,
-                depth_range=(2.0, 4.0),
                 texture_waves=6,
                 texture_max_freq=3.0,
                 texture_contrast=0.3,

@@ -314,6 +314,32 @@ class TestEval:
         assert main(["eval", str(p), str(g), "--cap", "inf"]) == 0
         assert capsys.readouterr().out == uncapped
 
+    def test_infinite_ground_truth_pixel_not_scored(self, tmp_path, capsys):
+        # An inf ground-truth pixel scores as one without ground truth, with
+        # and without --cap inf.
+        gt = np.random.default_rng(4).uniform(1.0, 5.0, size=(8, 8))
+        pred = 1.1 * gt
+        rows = []
+        for value in (np.inf, 0.0):
+            gt[3, 5] = value
+            p, g = self.make_pfms(tmp_path, pred, gt)
+            for cap in ([], ["--cap", "inf"]):
+                assert main(["eval", str(p), str(g), *cap]) == 0
+                rows.append(capsys.readouterr().out)
+        assert len(set(rows)) == 1
+        assert "nan" not in rows[0] and "inf" not in rows[0]
+
+    @pytest.mark.parametrize("channels", [("pred",), ("gt",), ("pred", "gt")])
+    def test_multi_channel_pfm_exit_1(self, tmp_path, capsys, channels):
+        depth = np.random.default_rng(5).uniform(1.0, 5.0, size=(8, 8))
+        rgb = np.repeat(depth[..., None], 3, axis=2)
+        p, g = self.make_pfms(tmp_path, *(rgb if name in channels else depth
+                                          for name in ("pred", "gt")))
+        assert main(["eval", str(p), str(g)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "single-channel" in captured.err
+
     def test_negative_prediction_exit_4(self, tmp_path, capsys):
         p, g = self.make_pfms(tmp_path, np.array([[-1.0, 1.0, 2.0]]),
                               np.array([[1.0, 1.0, 2.0]]))
@@ -370,6 +396,20 @@ class TestEvalAte:
         assert str(a) in captured.err
         assert f"byte offset {len(lines[0])}" in captured.err
 
+    def test_non_rotation_block_exit_1(self, tmp_path, capsys):
+        mats = [Pose6D(np.array([float(i), 0.0, 0.0]), np.zeros(3)).matrix()
+                for i in range(5)]
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        fileio.write_trajectory(b, mats)
+        mats[1][:3, :3] = -np.eye(3)
+        fileio.write_trajectory(a, mats)
+        assert main(["eval-ate", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a rotation" in captured.err
+        assert f"byte offset {len(a.read_text().splitlines(keepends=True)[0])}" in captured.err
+
     def test_single_pose_exit_4(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -386,7 +426,7 @@ class TestEvalAte:
 # Depth relief also matters: a fronto-parallel plane leaves translation
 # and rotation nearly indistinguishable at this field of view.
 SYNTH_CFG = (
-    "scene.kind = smooth-height-field\n"
+    "scene.height_amplitude = 0.15\n"
     "scene.width = 128\n"
     "scene.height = 96\n"
 )
@@ -410,6 +450,9 @@ class TestSynth:
         "scene.texture_waves = -2",
         "scene.height_amplitude = 5",
         "scene.height_amplitude = -3",
+        "scene.mean_depth = 0",
+        "scene.kind = smooth-height-field",
+        "scene.depth_range = 2.0, 4.0",
     ])
     def test_bad_scene_setting_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "s.cfg"

@@ -54,16 +54,16 @@ class TestParseConfig:
             "ddvo.unroll_iters = 5\n"
             "weights.lambda_prior = 0.5\n"
             "train.steps = 42\n"
-            "scene.kind = two-plane\n"
-            "scene.depth_range = 1.0, 3.0\n"
+            "scene.mean_depth = 2.5\n"
+            "scene.height_amplitude = 0.15\n"
             "camera.fx = 120\ncamera.fy = 120\ncamera.cx = 40\ncamera.cy = 30\n"
         )
         assert cfg.train.dvo.max_iters_per_level == 7
         assert cfg.train.ddvo.unroll_iters == 5
         assert cfg.train.weights.lambda_prior == 0.5
         assert cfg.train.steps == 42
-        assert cfg.scene.kind == "two-plane"
-        assert cfg.scene.depth_range == (1.0, 3.0)
+        assert cfg.scene.mean_depth == 2.5
+        assert cfg.scene.height_amplitude == 0.15
         assert cfg.camera.fx == 120.0
 
     def test_train_holds_nested_sections(self):
@@ -141,7 +141,7 @@ class TestParseConfig:
 
     def test_each_setting_has_one_home(self):
         assert [f.name for f in fields(RunConfig)] == ["train", "scene", "camera"]
-        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 25
+        assert sum(len(_section_fields(section)) for section in _DEFAULTS) == 24
 
     @pytest.mark.parametrize("key", ["train.seed", "scene.texture_seed"])
     def test_negative_seed_rejected(self, key):
@@ -153,11 +153,11 @@ class TestParseConfig:
             parse_config("dvo.levels = 0\n")
         with pytest.raises(ConfigError):
             parse_config("weights.lambda_prior = -1\n")
-        with pytest.raises(ConfigError):
-            parse_config("scene.kind = cube\n")
+        with pytest.raises(ConfigError, match="mean_depth"):
+            parse_config("scene.mean_depth = 0\n")
 
     def test_float_keys_cover_every_section_with_floats(self):
-        assert len(FLOAT_KEYS) == 11
+        assert len(FLOAT_KEYS) == 12
         assert {key.split(".")[0] for key in FLOAT_KEYS} == {
             "dvo", "weights", "train", "scene", "camera"
         }
@@ -168,10 +168,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(key) + ".*finite"):
             parse_config(f"{key} = {raw}\n")
 
-    @pytest.mark.parametrize("raw", ["nan 4", "2 inf"])
-    def test_non_finite_tuple_entry_rejected(self, raw):
-        with pytest.raises(ConfigError, match=r"scene\.depth_range.*finite"):
-            parse_config(f"scene.depth_range = {raw}\n")
+    @pytest.mark.parametrize("line", ["scene.kind = two-plane", "scene.depth_range = 2.0, 4.0"])
+    def test_removed_scene_keys_unknown(self, line):
+        # One scene model: a plane is a height field with zero relief, and
+        # its mean depth is scene.mean_depth.
+        with pytest.raises(ConfigError, match="unknown key 'scene.(kind|depth_range)'"):
+            parse_config(line + "\n")
 
     def test_scene_intrinsics_follow_configured_size(self):
         cfg = parse_config("scene.width = 64\nscene.height = 48\n")

@@ -18,7 +18,7 @@ def small_instance(seed, width=16, height=16):
     """Photometrically consistent pair on a tiny relief scene."""
     rng = np.random.default_rng(seed)
     spec = SceneSpec(
-        kind="smooth-height-field",
+        height_amplitude=0.15,
         texture_seed=int(rng.integers(0, 2**31)),
         width=width,
         height=height,
@@ -113,7 +113,7 @@ def pose_depth_jacobian(ref, depth, src, k, settings):
 
 class TestForward:
     def test_zero_motion_identity(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=2, width=32, height=24)
+        spec = SceneSpec(texture_seed=2, width=32, height=24, height_amplitude=0.15)
         ref, depth, src = make_pair(spec, Pose6D.identity())
         pose, tape = ddvo_forward(ref.gray(), depth.values, src.gray(), spec.intrinsics,
                                   DdvoSettings(unroll_iters=1))

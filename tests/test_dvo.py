@@ -134,7 +134,7 @@ class TestNormalMatrix:
 
     def test_too_small_level_raises_grid_too_small(self):
         # A 16x16 pair at 5 levels reaches a 1x1 coarsest level.
-        spec = SceneSpec(kind="textured-plane", width=16, height=16)
+        spec = SceneSpec(width=16, height=16)
         ref_img, ref_depth, src_img = make_pair(spec, Pose6D([0.01, 0.0, 0.0], [0.0, 0.0, 0.0]))
         arrays = (ref_img.gray(), ref_depth.values, src_img.gray(), spec.intrinsics)
         with pytest.raises(GridTooSmall):
@@ -145,7 +145,7 @@ class TestNormalMatrix:
 
 class TestSolveLevel:
     def test_zero_motion(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=48, height=40)
+        spec = SceneSpec(texture_seed=4, width=48, height=40, height_amplitude=0.15)
         img, depth = scene_arrays(spec)
         res = solve_level(img, depth, img, spec.intrinsics, Pose6D.identity(), DvoSettings(levels=1))
         assert np.max(np.abs(res.pose.as_vector())) < 1e-10
@@ -164,10 +164,7 @@ class TestSolveLevel:
         # every in-view pixel, so the first update is zero.
         w, h = 32, 24
         z0 = 3.0
-        spec = SceneSpec(
-            kind="textured-plane", texture_seed=6, width=w, height=h,
-            depth_range=(z0, z0),
-        )
+        spec = SceneSpec(texture_seed=6, width=w, height=h, mean_depth=z0)
         ref_img, ref_depth = scene_arrays(spec)
         src = np.roll(ref_img, 2, axis=1)
         k = spec.intrinsics
@@ -216,7 +213,7 @@ class TestCoarseToFine:
         assert translation_rel_error(multi.pose, true_pose) < 0.02
 
     def test_zero_motion_any_levels(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=64, height=48)
+        spec = SceneSpec(texture_seed=4, width=64, height=48, height_amplitude=0.15)
         img, depth = scene_arrays(spec)
         for levels in (1, 2, 3):
             res = solve_coarse_to_fine(
@@ -315,7 +312,7 @@ class TestStopReasons:
             assert max(res.iterations_used) < DvoSettings().max_iters_per_level
 
     def test_converged_at_optimum(self):
-        spec = SceneSpec(kind="smooth-height-field", texture_seed=4, width=48, height=40)
+        spec = SceneSpec(texture_seed=4, width=48, height=40, height_amplitude=0.15)
         img, depth = scene_arrays(spec)
         res = solve_coarse_to_fine(img, depth, img, spec.intrinsics, Pose6D.identity(),
                                    DvoSettings(levels=2))
@@ -339,7 +336,7 @@ class TestValidation:
             DvoSettings(residual_rel_tol=-1.0)
 
     def test_grid_mismatch(self):
-        spec = SceneSpec(kind="textured-plane", texture_seed=0, width=32, height=24)
+        spec = SceneSpec(texture_seed=0, width=32, height=24)
         img, depth = scene_arrays(spec)
         for ref, d, src in ((img, depth, img[:16, :16]), (img, depth[:, :-1], img),
                             (img[..., None], depth, img)):

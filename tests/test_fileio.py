@@ -3,6 +3,7 @@ import pytest
 
 from dvokit import fileio
 from dvokit.errors import FileFormatError
+from dvokit.geometry import so3_exp
 from dvokit.imaging import ImageBuffer
 
 
@@ -113,6 +114,27 @@ class TestTrajectory:
         assert len(back) == 4
         for a, b in zip(poses, back):
             assert np.max(np.abs(a - b)) < 1e-15
+
+    def test_six_digit_rotations_accepted(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(20):
+            T = np.eye(4)
+            T[:3, :3] = so3_exp(rng.uniform(-np.pi, np.pi, size=3))
+            rows.append(" ".join(f"{v:.6g}" for v in T[:3].ravel()))
+        path = tmp_path / "traj.txt"
+        path.write_text("\n".join(rows) + "\n")
+        assert len(fileio.read_trajectory(path)) == 20
+
+    @pytest.mark.parametrize("block", [-np.eye(3), np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3)])
+    def test_non_rotation_block_reports_offset(self, tmp_path, block):
+        T = np.eye(4)
+        T[:3, :3] = block
+        path = tmp_path / "bad.txt"
+        fileio.write_trajectory(path, [np.eye(4), T])
+        with pytest.raises(FileFormatError, match="not a rotation") as e:
+            fileio.read_trajectory(path)
+        assert e.value.offset == len(path.read_text().splitlines(keepends=True)[0])
 
     def test_wrong_field_count_reports_offset(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -27,14 +27,14 @@ from dvokit.synth import SceneSpec, make_pair, make_triplet
 
 
 def consistent_pair(seed=3, width=16, height=16):
-    spec = SceneSpec(kind="smooth-height-field", texture_seed=seed, width=width, height=height)
+    spec = SceneSpec(texture_seed=seed, width=width, height=height, height_amplitude=0.15)
     pose = Pose6D([0.02, -0.01, 0.01], [0.002, -0.003, 0.001])
     ref, depth, src = make_pair(spec, pose)
     return ref, depth, src, pose, spec.intrinsics
 
 
 def consistent_triplet(seed=5, width=32, height=32):
-    spec = SceneSpec(kind="smooth-height-field", texture_seed=seed, width=width, height=height)
+    spec = SceneSpec(texture_seed=seed, width=width, height=height, height_amplitude=0.15)
     p21 = Pose6D([-0.05, 0.0, 0.02], [0.0, 0.004, 0.0])
     p23 = Pose6D([0.05, 0.0, -0.02], [0.0, -0.003, 0.001])
     data = make_triplet(spec, p21, p23)

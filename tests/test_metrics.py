@@ -4,6 +4,7 @@ import pytest
 from dvokit.errors import DegenerateDepth, LengthMismatch, NoValidPixels
 from dvokit.geometry import Pose6D, so3_exp
 from dvokit.metrics import (
+    SNIPPET_LEN,
     DepthMetrics,
     Trajectory,
     ate,
@@ -94,6 +95,13 @@ class TestDepthMetrics:
         m = depth_metrics([[-1, 1, 2]], [[0, 1, 2]], align=False)
         assert m.abs_rel == 0.0
 
+    @pytest.mark.parametrize("cap", [None, np.inf])
+    def test_non_finite_ground_truth_not_scored(self, cap):
+        pred = np.array([[1.1, 2.0, 3.3, 4.0]])
+        want = depth_metrics(pred, [[1.0, 0.0, 3.0, 4.0]], max_depth_cap=cap)
+        for bad in (np.inf, np.nan):
+            assert depth_metrics(pred, [[1.0, bad, 3.0, 4.0]], max_depth_cap=cap) == want
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             DepthMetrics(-0.1, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
@@ -161,6 +169,13 @@ class TestAte:
             [window_rmse(pa[i:i + 5], pb[i:i + 5]) for i in range(n - 4)]
         )
         assert abs(mean - oracle) < 1e-3
+
+    def test_snippets_are_five_frames(self):
+        # The paper's protocol; ate takes no snippet length.
+        assert SNIPPET_LEN == 5
+        assert ate(straight_line(5), straight_line(5))[0] < 1e-12
+        with pytest.raises(LengthMismatch, match="at least 5 frames"):
+            ate(straight_line(4), straight_line(4))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
